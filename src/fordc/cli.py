@@ -46,6 +46,9 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise _Failure(EXIT_IO, Diagnostic("error", "E-IO", str(e), path))
+    except UnicodeDecodeError as e:
+        raise _Failure(EXIT_IO, Diagnostic(
+            "error", "E-IO", f"not valid UTF-8: {e}", path))
 
 
 def _atomic_write(path: str, text: str):
@@ -76,18 +79,11 @@ def _load_checked(path: str, budget: int):
     return module, sig
 
 
-def _budget(args) -> int:
-    if args.step_budget is not None:
-        return args.step_budget
-    env = os.environ.get("FORDC_STEP_BUDGET")
-    return int(env) if env else DEFAULT_STEP_BUDGET
-
-
 def cmd_check(args) -> int:
     status = EXIT_OK
     for path in args.paths:
         try:
-            _load_checked(path, _budget(args))
+            _load_checked(path, args.step_budget)
             print(f"checked {path}")
         except _Failure as f:
             _emit(f.diag, args.json)
@@ -97,10 +93,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_ford(args) -> int:
-    module, sig = _load_checked(args.path, _budget(args))
+    module, sig = _load_checked(args.path, args.step_budget)
     try:
         out, plan = ford_module(module, sig, args.data, args.suffix)
-        check_module(out, _budget(args))
+        check_module(out, args.step_budget)
     except TransformError as e:
         raise _Failure(EXIT_FORD, e.diagnostic(args.path))
     except FordcError as e:
@@ -126,12 +122,12 @@ def _parse_path_spec(spec: str) -> tuple[str, str, str]:
 
 
 def cmd_merge(args) -> int:
-    module, sig = _load_checked(args.path, _budget(args))
+    module, sig = _load_checked(args.path, args.step_budget)
     names = [n for n in args.types.split(",") if n]
     paths = [_parse_path_spec(s) for s in args.path_ctor]
     try:
         out, plan = merge_block(module, sig, names, paths)
-        check_module(out, _budget(args))
+        check_module(out, args.step_budget)
     except TransformError as e:
         raise _Failure(EXIT_MERGE, e.diagnostic(args.path))
     except FordcError as e:
@@ -238,7 +234,7 @@ def cmd_corpus(args) -> int:
             continue
         kind, *fields = line.split()
         try:
-            reason = _run_case(kind, fields, base, _budget(args))
+            reason = _run_case(kind, fields, base, args.step_budget)
         except _Failure as f:
             reason = f.diag.message
         except FordcError as e:
@@ -297,8 +293,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _step_budget(ap: argparse.ArgumentParser, args) -> int:
+    """The flag, else FORDC_STEP_BUDGET, else the default; anything but a
+    non-negative integer is a usage error (exit 2)."""
+    source, raw = "--step-budget", args.step_budget
+    if raw is None:
+        source, raw = "FORDC_STEP_BUDGET", os.environ.get("FORDC_STEP_BUDGET")
+        if not raw:
+            return DEFAULT_STEP_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        ap.error(f"{source} must be a non-negative integer, got {raw!r}")
+    return budget
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    ap = build_arg_parser()
+    args = ap.parse_args(argv)
+    args.step_budget = _step_budget(ap, args)
     try:
         return args.fn(args)
     except _Failure as f:

@@ -28,6 +28,8 @@ class CtorFordInfo:
     # one equation per constrained index: (position, row var, index term)
     equations: list[tuple[int, str, Term]] = field(default_factory=list)
     row_vars: list[str] = field(default_factory=list)
+    # row variables left unconstrained: bound by the row only, not hoisted
+    kept: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -100,6 +102,7 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
             if isinstance(pat, PatVar):
                 row.append(pat)  # already unconstrained; keep the variable
                 cf.row_vars.append(pat.name)
+                cf.kept.add(pat.name)
                 continue
             v = fresh_name(idx.name, taken)
             taken.add(v)
@@ -109,7 +112,8 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
             taken.add(eq)
             eqs.append(Binder(eq, IdType(idx.type, val, Var(v))))
             cf.equations.append((pos, v, val))
-        args = (tuple(ci.patvars) + tuple(eqs)
+        args = (tuple(b for b in ci.patvars if b.name not in cf.kept)
+                + tuple(eqs)
                 + tuple(Binder(b.name, _rename_data(b.type, d.name, new_name))
                         for b in ci.args))
         ctors.append(CtorDecl(c.name, tuple(row), args))
@@ -177,7 +181,8 @@ def gen_converters(plan: FordPlan, sig: Signature
         pat_row = lead + [PatCtor(plan.target, cf.name, tuple(sub))]
         rhs_args: list[Term] = [Var(b.name) for b in params]
         rhs_args += [subst_term(t, ren) for t in ci.avail_terms]
-        rhs_args += [Var(local[b.name]) for b in ci.patvars]
+        hoisted = [b for b in ci.patvars if b.name not in cf.kept]
+        rhs_args += [Var(local[b.name]) for b in hoisted]
         rhs_args += [REFL] * len(cf.equations)
         for b in ci.args:
             rhs_args.append(_convert_arg(sig, plan, b.type,
@@ -188,14 +193,15 @@ def gen_converters(plan: FordPlan, sig: Signature
                                         *rhs_args)))
 
         # forded -> original: row variables first, refl for each equation
-        row_locals = []
         fsub: list = []
         for v in cf.row_vars:
-            n2 = fresh_name(v, taken)
-            taken.add(n2)
-            row_locals.append(n2)
+            if v in cf.kept:
+                n2 = local[v]
+            else:
+                n2 = fresh_name(v, taken)
+                taken.add(n2)
             fsub.append(PatVar(n2))
-        fsub += [PatVar(local[b.name]) for b in ci.patvars]
+        fsub += [PatVar(local[b.name]) for b in hoisted]
         fsub += [PatRefl()] * len(cf.equations)
         fsub += [PatVar(local[b.name]) for b in ci.args]
         fpat_row = lead + [PatCtor(plan.forded, cf.name, tuple(fsub))]

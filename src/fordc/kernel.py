@@ -14,7 +14,7 @@ from __future__ import annotations
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     PatCtor, PatInacc, PatRefl, Pattern, PatVar, SourceModule,
                     Telescope)
-from .diagnostics import CoverageError, TypeCheckError
+from .diagnostics import CoverageError, FordcError, TypeCheckError
 from .normalize import DEFAULT_STEP_BUDGET, Normalizer
 from .printer import print_pattern, print_term
 from .signature import (AxiomInfo, CtorInfo, DataInfo, FunInfo, Signature,
@@ -101,7 +101,7 @@ class Checker:
                     "cannot infer the type of a lambda; use it where a "
                     "function type is expected")
             case App(f, a):
-                tf = self.nf(self.infer(ctx, f))
+                tf = self.nrm.whnf(self.infer(ctx, f))
                 if not isinstance(tf, Pi):
                     raise self._mismatch(Pi("_", Var("?"), Var("?")), tf,
                                          "application head")
@@ -132,7 +132,7 @@ class Checker:
         raise AssertionError(f"cannot infer {t!r}")
 
     def _infer_j(self, ctx: Ctx, m: Term, b: Term, p: Term) -> Term:
-        tp = self.nf(self.infer(ctx, p))
+        tp = self.nrm.whnf(self.infer(ctx, p))
         if not isinstance(tp, IdType):
             raise self._mismatch(IdType(Var("?"), Var("?"), Var("?")), tp,
                                  "J target")
@@ -162,7 +162,7 @@ class Checker:
         return mk_app(m, y, p)
 
     def check(self, ctx: Ctx, t: Term, expected: Term):
-        exp = self.nf(expected)
+        exp = self.nrm.whnf(expected)
         match t:
             case Lam(x, body):
                 if not isinstance(exp, Pi):
@@ -186,7 +186,7 @@ class Checker:
     def check_is_type(self, ctx: Ctx, t: Term) -> int:
         if t == Univ(1):
             return 2
-        ty = self.nf(self.infer(ctx, t))
+        ty = self.nrm.whnf(self.infer(ctx, t))
         if not isinstance(ty, Univ):
             raise self._mismatch(Univ(0), ty, "expected a type")
         return ty.level
@@ -413,7 +413,7 @@ class Checker:
                     self.check_mutual(decl)
                 else:
                     raise AssertionError(f"unknown declaration {decl!r}")
-            except TypeCheckError as e:
+            except FordcError as e:
                 if e.loc is None:
                     e.loc = getattr(decl, "loc", None)
                 raise

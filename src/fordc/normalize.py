@@ -1,23 +1,84 @@
-"""Normalization: beta, J-on-refl, aliases, and first-match clause
-evaluation, under a configurable step budget.
+"""Normalization by evaluation: terms evaluate to values with closures,
+values read back (`quote`) to named terms, and conversion compares values
+head by head.
 
-A neutral scrutinee never skips a clause: if a pattern requires a
-constructor and the value has a neutral head, the whole application stays
-stuck, preserving first-match semantics.
+A value is a rigid spine (a variable, constructor, datatype, axiom,
+universe, refl, or a function call that cannot fire, applied to argument
+values), a `Lam` or `Pi` closure over an environment, an identity type, or
+a neutral `J` applied to argument values. Evaluation is call-by-value: the
+arguments of a spine evaluate before its head. Tail positions (β, `J` on
+`refl`, a fired clause) continue in a loop, so a chain of unfoldings spends
+the step budget instead of the interpreter stack.
+
+Clauses fire first-match. A neutral scrutinee never skips a clause: if a
+pattern requires a constructor and the value has a neutral head, the whole
+call stays stuck. Path constructors never compute.
+
+The step budget counts β-reductions, `J` on `refl` and clause firings. It
+applies afresh to each `normalize` call and to each side of a
+`convertible` call.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .decls import PatCtor, PatInacc, PatRefl, Pattern, PatVar
 from .diagnostics import StepBudgetExceeded
 from .signature import FunInfo, Signature
 from .terms import (App, CtorRef, FunRef, IdType, JElim, Lam, Pi, Refl, Term,
-                    alpha_eq, mk_app, spine, subst_term)
+                    Var, free_vars, fresh_name, mk_app, spine)
 
 DEFAULT_STEP_BUDGET = 100000
 
 _NOMATCH = "nomatch"
 _STUCK = "stuck"
+
+
+class VRigid:
+    """A head that does not compute, applied to argument values."""
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: Term, args: tuple = ()):
+        self.head, self.args = head, args
+
+
+class VLam:
+    __slots__ = ("binder", "body", "env")
+
+    def __init__(self, binder: str, body: Term, env: dict):
+        self.binder, self.body, self.env = binder, body, env
+
+
+class VPi:
+    __slots__ = ("binder", "domain", "body", "env")
+
+    def __init__(self, binder: str, domain, body: Term, env: dict):
+        # `body` is the codomain, a term over `binder` and `env`
+        self.binder, self.domain, self.body, self.env = binder, domain, body, env
+
+
+class VId:
+    __slots__ = ("carrier", "lhs", "rhs")
+
+    def __init__(self, carrier, lhs, rhs):
+        self.carrier, self.lhs, self.rhs = carrier, lhs, rhs
+
+
+class VJ:
+    """`J` on a path that is not `refl`, applied to argument values."""
+    __slots__ = ("motive", "base", "path", "args")
+
+    def __init__(self, motive, base, path, args: tuple = ()):
+        self.motive, self.base, self.path, self.args = motive, base, path, args
+
+
+Value = VRigid | VLam | VPi | VId | VJ
+Env = dict[str, Value]
+
+
+def _jspine(m: Term, b: Term, p: Term, *args: Term) -> Term:
+    return mk_app(JElim(m, b, p), *args)
 
 
 class Normalizer:
@@ -27,12 +88,57 @@ class Normalizer:
         self.steps = 0
 
     def normalize(self, t: Term) -> Term:
-        """Fully normalize; each call gets a fresh step budget."""
+        """Full normal form; each call gets a fresh step budget."""
         self.steps = 0
-        return self._nf(t)
+        return self.quote(self.eval(t, {}), t)
+
+    def whnf(self, t: Term) -> Term:
+        """`t` itself when its head cannot compute, else its normal form."""
+        head, args = spine(t)
+        if isinstance(head, (FunRef, JElim)) or (args and isinstance(head, Lam)):
+            return self.normalize(t)
+        return t
 
     def convertible(self, a: Term, b: Term) -> bool:
-        return alpha_eq(self.normalize(a), self.normalize(b))
+        """Compare the values of `a` and `b` one pair of heads at a time,
+        stopping at the first mismatch. There is no η: `\\x => f x` and `f`
+        differ. Each side spends its own step budget."""
+        spent = [0, 0]
+
+        def on(side: int, fn, *args):
+            self.steps = spent[side]
+            v = fn(*args)
+            spent[side] = self.steps
+            return v
+
+        work = [(on(0, self.eval, a, {}), on(1, self.eval, b, {}))]
+        fresh = 0
+        while work:
+            u, v = work.pop()
+            if u is v:
+                continue
+            if type(u) is not type(v):
+                return False
+            if isinstance(u, VRigid):
+                if u.head != v.head or len(u.args) != len(v.args):
+                    return False
+                work.extend(zip(u.args, v.args))
+            elif isinstance(u, (VLam, VPi)):
+                if isinstance(u, VPi):
+                    work.append((u.domain, v.domain))
+                # '#' never occurs in a parsed or generated name
+                x = VRigid(Var(f"#{fresh}"))
+                fresh += 1
+                work.append((on(0, self.instantiate, u, x),
+                             on(1, self.instantiate, v, x)))
+            elif isinstance(u, VId):
+                work += [(u.carrier, v.carrier), (u.lhs, v.lhs), (u.rhs, v.rhs)]
+            else:
+                if len(u.args) != len(v.args):
+                    return False
+                work += [(u.motive, v.motive), (u.base, v.base),
+                         (u.path, v.path), *zip(u.args, v.args)]
+        return True
 
     def _step(self):
         self.steps += 1
@@ -40,98 +146,106 @@ class Normalizer:
             raise StepBudgetExceeded(
                 f"normalization exceeded the step budget of {self.budget}")
 
-    def _nf(self, t: Term) -> Term:
-        match t:
-            case App(_, _) | FunRef(_) | JElim(_, _, _):
-                head, args = spine(t)
-                return self._apply(head, [self._nf(a) for a in args])
-            case Pi(x, d, c):
-                return Pi(x, self._nf(d), self._nf(c))
-            case Lam(x, body):
-                return Lam(x, self._nf(body))
-            case IdType(c, l, r):
-                return IdType(self._nf(c), self._nf(l), self._nf(r))
-            case _:
-                return t
+    # -- evaluation ------------------------------------------------------------
 
-    def _apply(self, head: Term, args: list[Term]) -> Term:
-        """Iterative head reduction; unbounded unfolding chains consume the
-        step budget instead of the interpreter stack."""
+    def instantiate(self, clo: VLam | VPi, v: Value) -> Value:
+        return self.eval(clo.body, {**clo.env, clo.binder: v})
+
+    def eval(self, t: Term, env: Env) -> Value:
+        args: list[Value] = []  # pending arguments of the head `t`
         while True:
-            if isinstance(head, App):
-                h2, extra = spine(head)
-                head = h2
-                args = [self._nf(a) for a in extra] + args
-                continue
-            if isinstance(head, Lam) and args:
-                self._step()
-                head = subst_term(head.body, {head.binder: args[0]})
-                args = args[1:]
-                continue
-            if isinstance(head, JElim):
-                pn = self._nf(head.path)
-                if isinstance(pn, Refl):
+            cls = type(t)
+            if cls is App:
+                t, targs = spine(t)
+                args = [self.eval(a, env) for a in targs] + args
+            elif cls is Var:
+                v = env.get(t.name)
+                if v is None:
+                    return VRigid(t, tuple(args))
+                if not args:
+                    return v
+                if isinstance(v, VLam):
                     self._step()
-                    head = head.base
-                    continue
-                head = JElim(self._nf(head.motive), self._nf(head.base), pn)
-                break
-            if isinstance(head, FunRef):
-                info = self.sig.funs.get(head.name)
-                if info is not None and len(args) >= info.arity:
-                    fired = self._match_clauses(info, args[:info.arity])
-                    if fired is not None:
-                        bindings, rhs = fired
-                        self._step()
-                        head = subst_term(rhs, bindings)
-                        args = args[info.arity:]
-                        continue
-            break
-        if isinstance(head, (Lam, Pi, IdType)):
-            head = self._nf(head)
-        return mk_app(head, *args)
+                    t, env, args = v.body, {**v.env, v.binder: args[0]}, args[1:]
+                elif isinstance(v, VRigid) and isinstance(v.head, FunRef):
+                    t, args = v.head, [*v.args, *args]  # may now be saturated
+                elif isinstance(v, VRigid):
+                    return VRigid(v.head, v.args + tuple(args))
+                elif isinstance(v, VJ):
+                    return VJ(v.motive, v.base, v.path, v.args + tuple(args))
+                else:
+                    raise AssertionError(f"cannot apply {type(v).__name__}")
+            elif cls is Lam:
+                if not args:
+                    return VLam(t.binder, t.body, env)
+                self._step()
+                t, env, args = t.body, {**env, t.binder: args[0]}, args[1:]
+            elif cls is FunRef:
+                info = self.sig.funs.get(t.name)
+                if info is None or len(args) < info.arity:
+                    return VRigid(t, tuple(args))
+                fired = self._match_clauses(info, args[:info.arity])
+                if fired is None:
+                    return VRigid(t, tuple(args))
+                self._step()
+                env, t = fired
+                args = args[info.arity:]
+            elif cls is JElim:
+                path = self.eval(t.path, env)
+                if not (isinstance(path, VRigid) and isinstance(path.head, Refl)):
+                    return VJ(self.eval(t.motive, env), self.eval(t.base, env),
+                              path, tuple(args))
+                self._step()
+                t = t.base
+            elif cls is Pi:
+                return VPi(t.binder, self.eval(t.domain, env), t.codomain, env)
+            elif cls is IdType:
+                return VId(self.eval(t.carrier, env), self.eval(t.lhs, env),
+                           self.eval(t.rhs, env))
+            else:  # constructor, datatype, axiom, universe, refl
+                return VRigid(t, tuple(args))
 
-    def _match_clauses(self, info: FunInfo, args: list[Term]):
+    def _match_clauses(self, info: FunInfo, args: list[Value]):
         for clause in info.clauses:
-            bindings: dict[str, Term] = {}
+            env: Env = {}
             outcome = "ok"
             for pat, val in zip(clause.pats, args):
-                r = self._match(pat, val, bindings)
+                r = self._match(pat, val, env)
                 if r == _NOMATCH:
                     outcome = _NOMATCH
                     break
                 if r == _STUCK:
                     outcome = _STUCK
             if outcome == "ok":
-                return bindings, clause.rhs
+                return env, clause.rhs
             if outcome == _STUCK:
                 return None  # first-match: cannot skip past a stuck clause
         return None
 
-    def _match(self, pat: Pattern, val: Term, bindings: dict[str, Term]) -> str:
+    def _match(self, pat: Pattern, val: Value, env: Env) -> str:
+        head = val.head if isinstance(val, VRigid) else None
         match pat:
             case PatVar(x):
                 if x != "_":
-                    bindings[x] = val
+                    env[x] = val
                 return "ok"
             case PatInacc(_):
                 return "ok"
             case PatRefl():
-                return "ok" if isinstance(val, Refl) else _STUCK
+                return "ok" if isinstance(head, Refl) else _STUCK
             case PatCtor(d, c, subs):
-                head, vargs = spine(val)
                 if isinstance(head, CtorRef):
                     if self.sig.ctor(head.data, head.name).is_path:
                         return _STUCK
                     if (head.data, head.name) != (d, c):
                         return _NOMATCH
                     n_params = len(self.sig.datas[d].params)
-                    slots = vargs[n_params:]
+                    slots = val.args[n_params:]
                     if len(slots) != len(subs):
                         return _STUCK
                     worst = "ok"
                     for sp, sv in zip(subs, slots):
-                        r = self._match(sp, sv, bindings)
+                        r = self._match(sp, sv, env)
                         if r == _NOMATCH:
                             return _NOMATCH
                         if r == _STUCK:
@@ -141,3 +255,54 @@ class Normalizer:
                     return _NOMATCH
                 return _STUCK
         raise AssertionError(f"unknown pattern {pat!r}")
+
+    # -- read-back ---------------------------------------------------------------
+
+    def quote(self, v: Value, source: Term) -> Term:
+        """Read `v`, the value of `source`, back as a named term. A binder
+        keeps its own name unless that clashes with a name in scope: a free
+        variable of `source` or an enclosing binder. Works on an explicit
+        stack, so deep values do not exhaust the interpreter's."""
+        scope: set[str] | None = None  # computed at the first binder
+        out: list[Term] = []
+        # a value to read back; (closure, name) to go under a binder; or
+        # (make, n, name) to build a node from the last n results
+        todo: list = [v]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, VRigid):
+                if item.args:
+                    todo.append((partial(mk_app, item.head), len(item.args), None))
+                    todo.extend(reversed(item.args))
+                else:
+                    out.append(item.head)
+            elif isinstance(item, (VLam, VPi)):
+                if scope is None:
+                    scope = set(free_vars(source))
+                name = item.binder
+                if name in scope:
+                    name = fresh_name(name, scope)
+                leave = None if name == "_" else name
+                if isinstance(item, VLam):
+                    todo += [(partial(Lam, name), 1, leave), (item, name)]
+                else:
+                    todo += [(partial(Pi, name), 2, leave), (item, name),
+                             item.domain]
+            elif isinstance(item, VId):
+                todo += [(IdType, 3, None), item.rhs, item.lhs, item.carrier]
+            elif isinstance(item, VJ):
+                todo.append((_jspine, 3 + len(item.args), None))
+                todo += reversed((item.motive, item.base, item.path, *item.args))
+            elif len(item) == 2:
+                clo, name = item
+                if name != "_":
+                    scope.add(name)
+                todo.append(self.instantiate(clo, VRigid(Var(name))))
+            else:
+                make, n, leave = item
+                parts = out[-n:]
+                del out[-n:]
+                out.append(make(*parts))
+                if leave is not None:
+                    scope.discard(leave)
+        return out[0]

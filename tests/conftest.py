@@ -25,3 +25,35 @@ def load_checked(name: str):
     """Parse and check a corpus module: (module, signature)."""
     m = load(name)
     return m, check_module(m)
+
+
+PLUS_MULT = """\
+data Nat
+  | zero
+  | suc (n : Nat)
+
+def plus (m : Nat) (n : Nat) : Nat
+  | zero n => n
+  | (suc k) n => suc (plus k n)
+
+def mult (m : Nat) (n : Nat) : Nat
+  | zero n => zero
+  | (suc k) n => plus n (mult k n)
+"""
+
+
+def numeral(k: int) -> str:
+    """`k` in unary, as the printer spells it."""
+    return "suc (" * (k - 1) + "suc zero" + ")" * (k - 1) if k else "zero"
+
+
+def mult_term(a: int, b: int) -> str:
+    return f"mult ({numeral(a)}) ({numeral(b)})"
+
+
+def arith_theorem(a: int, b: int, extra_suc: bool = False) -> str:
+    """`mult a b = mult b a` by refl, false by one `suc` if asked."""
+    rhs = mult_term(b, a)
+    if extra_suc:
+        rhs = f"suc ({rhs})"
+    return PLUS_MULT + f"\ndef t : Id Nat ({mult_term(a, b)}) ({rhs})\n  => refl\n"

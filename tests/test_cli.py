@@ -1,8 +1,11 @@
 import json
 import shutil
+import sys
+
+import pytest
 
 from fordc.cli import main
-from conftest import CORPUS
+from conftest import CORPUS, arith_theorem, numeral
 
 
 def run(capsys, *argv):
@@ -154,3 +157,62 @@ def test_step_budget_flag_overrides(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FORDC_STEP_BUDGET", "0")
     code, _, _ = run(capsys, "check", str(mod), "--step-budget", "100000")
     assert code == 0
+
+
+def test_step_budget_rejects_bad_values(tmp_path, capsys, monkeypatch):
+    mod = tmp_path / "unfold.fda"
+    mod.write_text(NEEDS_UNFOLD)
+    for env, flag, shown in [("abc", [], "FORDC_STEP_BUDGET"),
+                             ("-5", [], "FORDC_STEP_BUDGET"),
+                             ("0", ["--step-budget", "-5"], "--step-budget"),
+                             ("0", ["--step-budget", "abc"], "--step-budget")]:
+        monkeypatch.setenv("FORDC_STEP_BUDGET", env)
+        with pytest.raises(SystemExit) as ei:
+            main(["check", str(mod), *flag])
+        assert ei.value.code == 2
+        assert shown in capsys.readouterr().err
+
+
+SPIN = """
+data Nat
+  | zero
+  | suc (n : Nat)
+
+partial def spin (n : Nat) : Nat
+  | n => spin n
+
+def t : Id Nat (spin zero) zero
+  => refl
+"""
+
+
+def test_step_budget_error_is_located(tmp_path, capsys):
+    mod = tmp_path / "spin.fda"
+    mod.write_text(SPIN)
+    code, _, err = run(capsys, "check", str(mod), "--step-budget", "1000")
+    assert code == 1
+    assert err.startswith(f"error[E-STEP-BUDGET] {mod}:9:1: ")
+
+
+def test_invalid_utf8_is_an_io_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.fda"
+    bad.write_bytes(b"data Nat\n  | z\xff\n")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 3 and err.startswith(f"error[E-IO] {bad}: ")
+
+
+def test_deep_arithmetic_checks_under_default_recursion_limit(tmp_path,
+                                                              capsys):
+    assert sys.getrecursionlimit() == 1000
+    mod = tmp_path / "arith.fda"
+    mod.write_text(arith_theorem(25, 25))
+    code, out, err = run(capsys, "check", str(mod))
+    assert (code, err) == (0, "") and "checked" in out
+
+
+def test_false_arithmetic_shows_normal_form(tmp_path, capsys):
+    mod = tmp_path / "arith.fda"
+    mod.write_text(arith_theorem(20, 20, extra_suc=True))
+    code, _, err = run(capsys, "check", str(mod))
+    assert code == 1 and "E-TYPE" in err
+    assert f"got {numeral(401)}\n" in err

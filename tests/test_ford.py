@@ -3,6 +3,7 @@ import pytest
 from fordc import (PatVar, TransformError, TypeCheckError,
                    canonical_family_values, check_module, convertible,
                    ford_module, normalize, parse, parse_term_text)
+from fordc.printer import print_pattern
 from fordc.terms import DataRef, FunRef, IdType, alpha_eq, mk_app
 from conftest import corpus_text, load_checked
 
@@ -154,6 +155,30 @@ def test_round_trip_suite_depth3(name, target, params):
         call = mk_app(FunRef(plan.to_name), *pterms, *indices,
                       mk_app(FunRef(plan.from_name), *pterms, *indices, w))
         assert convertible(sig2, call, w), f"reverse round trip failed on {w}"
+
+
+def test_variable_row_stays_in_the_row():
+    src = """
+data Nat
+  | zero
+  | suc (n : Nat)
+
+data G : (n : Nat)
+  | a [zero]
+  | b [k] (x : G k)
+"""
+    m = parse(src)
+    out, plan = ford_module(m, check_module(m), "G")
+    sig2 = check_module(out)
+    b = out.find_data("GF").ctors[1]
+    assert [print_pattern(p) for p in b.availability] == ["k"]
+    assert [a.name for a in b.args] == ["x"]
+    values = canonical_family_values(sig2, "G", [], 4)
+    assert len(values) > 3
+    for indices, v in values:
+        call = mk_app(FunRef(plan.from_name), *indices,
+                      mk_app(FunRef(plan.to_name), *indices, v))
+        assert convertible(sig2, call, v), f"round trip failed on {v}"
 
 
 def test_ford_without_indices_rejected():

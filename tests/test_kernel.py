@@ -5,8 +5,10 @@ from fordc import (Checker, CoverageError, PatCtor, PatVar,
                    UnifyStuck, UnifySuccess, check_module, convertible,
                    normalize, parse, parse_term_text, print_term,
                    unify_indices)
-from fordc.terms import CtorRef, JElim, Lam, Var, alpha_eq, mk_app
-from conftest import load_checked
+from fordc.normalize import Normalizer
+from fordc.terms import (App, AxiomRef, CtorRef, JElim, Lam, Var, alpha_eq,
+                         mk_app)
+from conftest import PLUS_MULT, load_checked, mult_term
 
 
 def pt(sig, s, **kw):
@@ -121,6 +123,52 @@ partial def spin (n : Nat) : Nat
     sig = check_module(m)
     with pytest.raises(StepBudgetExceeded):
         normalize(sig, pt(sig, "spin zero"), step_budget=1000)
+
+
+def unary_value(t):
+    """The number a normal `suc (... zero)` term denotes, walked without
+    recursion."""
+    k = 0
+    while isinstance(t, App) and t.fn == CtorRef("Nat", "suc"):
+        k, t = k + 1, t.arg
+    assert t == CtorRef("Nat", "zero")
+    return k
+
+
+def test_mult_steps_counted_per_normalize():
+    sig = check_module(parse(PLUS_MULT))
+    nrm = Normalizer(sig)
+    n = nrm.normalize(pt(sig, mult_term(20, 20)))
+    assert nrm.steps == 441  # 21 mult clauses, 20 plus calls of 21 each
+    assert unary_value(n) == 400
+
+
+def test_deep_normal_form_reads_back_without_recursion_error():
+    sig = check_module(parse(PLUS_MULT))
+    assert unary_value(normalize(sig, pt(sig, mult_term(30, 30)))) == 900
+
+
+def test_each_side_of_a_conversion_has_its_own_budget():
+    sig = check_module(parse(PLUS_MULT))
+    lhs, rhs = pt(sig, mult_term(20, 20)), pt(sig, mult_term(20, 20))
+    assert Normalizer(sig, 441).convertible(lhs, rhs)  # 882 steps in all
+    with pytest.raises(StepBudgetExceeded):
+        Normalizer(sig, 440).convertible(lhs, rhs)
+
+
+def test_no_eta_conversion():
+    src = """
+data Nat
+  | zero
+  | suc (n : Nat)
+
+axiom f : Nat -> Nat
+"""
+    sig = check_module(parse(src))
+    eta = Lam("x", App(AxiomRef("f"), Var("x")))
+    assert not convertible(sig, eta, AxiomRef("f"))
+    assert not convertible(sig, AxiomRef("f"), eta)
+    assert convertible(sig, eta, Lam("y", App(AxiomRef("f"), Var("y"))))
 
 
 # -- convertibility --------------------------------------------------------------
