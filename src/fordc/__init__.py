@@ -16,7 +16,7 @@ from .diagnostics import (CoverageError, Diagnostic, FordcError, ParseError,
 from .ford import FordPlan, ford_data, ford_module, gen_converters
 from .kernel import (Checker, check_module, convertible, normalize,
                      prelude_signature)
-from .merge import MergePlan, merge_block, merge_with_paths
+from .merge import MergePlan, merge_block
 from .parser import NameEnv, parse_term_text
 from .printer import print_module, print_term
 from .signature import Signature

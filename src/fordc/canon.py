@@ -31,11 +31,10 @@ def canonical_values(sig: Signature, ty: Term, depth: int,
     out: list[Term] = []
     for c in dinfo.point_ctors():
         slots, avail = sig.ctor_slots(c, us)
-        taken = sig.all_names()
         ren: dict[str, Term] = {}
         names: list[str] = []
         for s in slots:
-            n2 = fresh_name(s.name, taken | set(names))
+            n2 = fresh_name(s.name, names, sig.all_names())
             names.append(n2)
             ren[s.name] = Var(n2)
         res = unify_terms(sig, nrm,

@@ -78,7 +78,7 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
             f"forded name {new_name!r} collides with an existing "
             "declaration; pick another --suffix", code="E-NAME-CLASH")
     info = sig.datas[d.name]
-    globals_ = sig.all_names() | {new_name}
+    globals_ = sig.all_names()
     ctors: list[CtorDecl] = []
     plan_ctors: list[CtorFordInfo] = []
     for c in d.ctors:
@@ -92,7 +92,7 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
                                   path_type=c.path_type))
             continue
         ci = info.ctors[c.name]
-        taken = (globals_ | {b.name for b in ci.patvars}
+        taken = ({new_name} | {b.name for b in ci.patvars}
                  | {b.name for b in ci.args} | {b.name for b in d.params})
         cf = CtorFordInfo(c.name)
         row = []
@@ -104,11 +104,11 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
                 cf.row_vars.append(pat.name)
                 cf.kept.add(pat.name)
                 continue
-            v = fresh_name(idx.name, taken)
+            v = fresh_name(idx.name, taken, globals_)
             taken.add(v)
             row.append(PatVar(v))
             cf.row_vars.append(v)
-            eq = fresh_name("eq", taken)
+            eq = fresh_name("eq", taken, globals_)
             taken.add(eq)
             eqs.append(Binder(eq, IdType(idx.type, val, Var(v))))
             cf.equations.append((pos, v, val))
@@ -119,9 +119,8 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
         ctors.append(CtorDecl(c.name, tuple(row), args))
         plan_ctors.append(cf)
     forded = DataDecl(new_name, d.params, d.indices, tuple(ctors))
-    avoid = globals_
-    to_name = fresh_name(f"to{new_name}", avoid)
-    from_name = fresh_name(f"from{new_name}", avoid | {to_name})
+    to_name = fresh_name(f"to{new_name}", {new_name}, globals_)
+    from_name = fresh_name(f"from{new_name}", {new_name, to_name}, globals_)
     return forded, FordPlan(d.name, new_name, plan_ctors, to_name, from_name)
 
 
@@ -156,7 +155,7 @@ def gen_converters(plan: FordPlan, sig: Signature
     params, indices = d.params, d.indices
     binder_names = {b.name for b in params} | {b.name for b in indices}
     globals_ = sig.all_names()
-    scrut = fresh_name("v", binder_names | globals_)
+    scrut = fresh_name("v", binder_names, globals_)
     orig_ty = sig.data_applied(plan.target, telescope_vars(params),
                                telescope_vars(indices))
     ford_ty = sig.data_applied(plan.forded, telescope_vars(params),
@@ -167,11 +166,11 @@ def gen_converters(plan: FordPlan, sig: Signature
     from_clauses = []
     for cf in plan.per_ctor:
         ci = sig.datas[plan.target].ctors[cf.name]
-        taken = set(binder_names) | globals_ | {scrut}
+        taken = binder_names | {scrut}
         ren: dict[str, Term] = {}
         local: dict[str, str] = {}
         for b in ci.patvars + ci.args:
-            n2 = fresh_name(b.name, taken)
+            n2 = fresh_name(b.name, taken, globals_)
             taken.add(n2)
             local[b.name] = n2
             ren[b.name] = Var(n2)
@@ -198,7 +197,7 @@ def gen_converters(plan: FordPlan, sig: Signature
             if v in cf.kept:
                 n2 = local[v]
             else:
-                n2 = fresh_name(v, taken)
+                n2 = fresh_name(v, taken, globals_)
                 taken.add(n2)
             fsub.append(PatVar(n2))
         fsub += [PatVar(local[b.name]) for b in hoisted]

@@ -193,8 +193,8 @@ class Checker:
 
     def _open(self, ctx: Ctx, x: str, body: Term) -> tuple[str, Term]:
         if x == "_" or x in ctx or self.sig.has_name(x):
-            x2 = fresh_name(x if x != "_" else "x",
-                            set(ctx) | free_vars(body) | self.sig.all_names())
+            x2 = fresh_name(x if x != "_" else "x", ctx, free_vars(body),
+                            self.sig.all_names())
             return x2, subst_term(body, {x: Var(x2)})
         return x, body
 
@@ -223,11 +223,11 @@ class Checker:
         pctx = self.check_telescope({}, d.params, f"data {d.name} parameters")
         self.check_telescope(pctx, d.indices, f"data {d.name} indices")
         if d.name not in self.sig.datas:
-            self.sig.datas[d.name] = DataInfo(d, d.params, d.indices)
+            self.sig.add_data(DataInfo(d, d.params, d.indices))
         info = self.sig.datas[d.name]
         info.decl, info.params, info.indices = d, d.params, d.indices
         for c in d.ctors:
-            info.ctors[c.name] = self._check_ctor(d, c, pctx, group)
+            self.sig.add_ctor(self._check_ctor(d, c, pctx, group))
 
     def _check_ctor(self, d: DataDecl, c, pctx: Ctx,
                     group: set[str]) -> CtorInfo:
@@ -284,10 +284,10 @@ class Checker:
 
     def _elab_avail_pat(self, pat: Pattern, expected: Term,
                         patvars: list[Binder], pctx: Ctx, base: str, c):
-        taken = set(pctx) | {b.name for b in patvars} | self.sig.all_names()
         match pat:
             case PatVar(x):
-                name = fresh_name(base, taken) if x == "_" else x
+                name = fresh_name(base, pctx, {b.name for b in patvars},
+                                  self.sig.all_names()) if x == "_" else x
                 patvars.append(Binder(name, expected))
                 return Var(name), PatVar(name)
             case PatCtor(dn, cn, subs):
@@ -370,19 +370,19 @@ class Checker:
             pctx = self.check_telescope({}, d.params,
                                         f"data {d.name} parameters")
             self.check_telescope(pctx, d.indices, f"data {d.name} indices")
-            self.sig.datas[d.name] = DataInfo(d, d.params, d.indices)
+            self.sig.add_data(DataInfo(d, d.params, d.indices))
         for d in block.decls:
             self.check_data(d, group)
 
     def check_axiom(self, a: AxiomDecl):
         self.check_is_type({}, a.type)
-        self.sig.axioms[a.name] = AxiomInfo(a.name, a.type)
+        self.sig.add_axiom(AxiomInfo(a.name, a.type))
 
     def check_fun(self, f: FunDecl):
         ctx = self.check_telescope({}, f.binders, f"def {f.name}")
         self.check_is_type(ctx, f.ret)
         info = FunInfo(f.name, f.binders, f.ret, [], f.partial)
-        self.sig.funs[f.name] = info
+        self.sig.add_fun(info)
         if f.body is not None:
             self.check(ctx, f.body, f.ret)
             clauses = [Clause(tuple(PatVar(b.name) for b in f.binders),
@@ -472,13 +472,14 @@ class Checker:
         split = self.sig.split_data_type(tyn)
         if split is not None:
             dinfo, us, vs = split
+            globals_ = self.sig.all_names()
             for c in dinfo.point_ctors():
                 slots, avail = self.sig.ctor_slots(c, us)
-                taken = colnames | self.sig.all_names()
+                taken = set(colnames)
                 ren: dict[str, Term] = {}
                 new_slots = []
                 for s in slots:
-                    n2 = fresh_name(s.name, taken)
+                    n2 = fresh_name(s.name, taken, globals_)
                     taken.add(n2)
                     new_slots.append((n2, subst_term(s.type, ren)))
                     ren[s.name] = Var(n2)
@@ -538,13 +539,14 @@ class Checker:
             if split is not None:
                 dinfo, us, vs = split
                 alive = False
+                globals_ = self.sig.all_names()
                 for c in dinfo.point_ctors():
                     slots, avail = self.sig.ctor_slots(c, us)
-                    taken = set(colnames) | self.sig.all_names()
+                    taken = set(colnames)
                     ren: dict[str, Term] = {}
                     row_flex = set()
                     for k, s in enumerate(slots):
-                        n2 = fresh_name(s.name, taken)
+                        n2 = fresh_name(s.name, taken, globals_)
                         taken.add(n2)
                         ren[s.name] = Var(n2)
                         if k < len(c.patvars):
@@ -740,9 +742,9 @@ class _ClauseState:
                 f"pattern {cn} takes {len(slots)} arguments "
                 f"(row variables first), given {len(subs)}", code="E-ARITY")
         # choose slot names, preferring the user's variable names
-        taken = (set(self.ctx) | self.sig.all_names()
-                 | {sp.name for sp in subs
-                    if isinstance(sp, PatVar) and sp.name != "_"})
+        taken = set(self.ctx) | {sp.name for sp in subs
+                                 if isinstance(sp, PatVar) and sp.name != "_"}
+        globals_ = self.sig.all_names()
         names: list[str] = []
         ren: dict[str, Term] = {}
         for slot, sp in zip(slots, subs):
@@ -750,7 +752,7 @@ class _ClauseState:
                 n2 = sp.name
                 self.user_vars.add(n2)
             else:
-                n2 = fresh_name("%" + slot.name.lstrip("%"), taken)
+                n2 = fresh_name("%" + slot.name.lstrip("%"), taken, globals_)
             taken.add(n2)
             self.ctx[n2] = subst_term(slot.type, ren)
             ren[slot.name] = Var(n2)

@@ -196,12 +196,6 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     return out, plan
 
 
-def merge_with_paths(m: SourceModule, sig: Signature, names: list[str],
-                     path_ctors: list[tuple[str, str, str]]
-                     ) -> tuple[SourceModule, MergePlan]:
-    return merge_block(m, sig, names, path_ctors)
-
-
 def _pick(candidates: list[str], taken: set[str]) -> str:
     for c in candidates:
         if c not in taken:

@@ -12,6 +12,8 @@ unambiguous, otherwise the qualified form `Data.ctor` is required.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl, FunDecl,
@@ -24,8 +26,6 @@ from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
 KEYWORDS = {"data", "def", "axiom", "mutual", "end", "partial",
             "Pi", "Id", "J", "refl", "Type0", "Type1"}
 
-PUNCT = ["->", "=>", "(", ")", "[", "]", ",", ":", "|", ".", "\\"]
-
 
 @dataclass
 class Token:
@@ -35,89 +35,77 @@ class Token:
     col: int
 
 
-_ASCII_ALPHA = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_ASCII_ALNUM = _ASCII_ALPHA | set("0123456789")
-
-
-def _ident_start(c: str) -> bool:
-    return c in _ASCII_ALPHA or c == "_"
-
-
-def _ident_char(c: str) -> bool:
-    return c in _ASCII_ALNUM or c in "_'"
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<nl>\n)
+  | (?P<comment>--[^\n]*)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)?)
+  | (?P<punct>->|=>|[()\[\],:|.\\])
+  | (?P<bad>.)
+  | (?P<end>\Z))""", re.VERBOSE)
 
 
 def lex(src: str) -> list[Token]:
+    """One master-pattern match per token (with the blanks before it).
+    A `--` comment runs to the end of its line and does not advance the
+    column, so an `eof` right after one keeps the comment's column."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    pos, line, col = 0, 1, 1
+    while True:
+        m = _TOKEN.match(src, pos)
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        col += start - pos
+        text, pos = src[start:end], end
+        if kind == "word":
+            # `Data.ctor` written without spaces is one qualified reference,
+            # unless the head is a keyword
+            head, dot, _ = text.partition(".")
+            if head in KEYWORDS:
+                text, kind, pos = head, head, start + len(head)
+            else:
+                kind = "qident" if dot else "ident"
+        elif kind == "punct":
+            kind = text
+        elif kind == "nl":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        elif kind == "comment":
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if _ident_start(c):
-            j = i
-            while j < n and _ident_char(src[j]):
-                j += 1
-            word = src[i:j]
-            # qualified reference Data.ctor, written without spaces
-            if (word not in KEYWORDS and j + 1 < n and src[j] == "."
-                    and _ident_start(src[j + 1])):
-                k = j + 1
-                while k < n and _ident_char(src[k]):
-                    k += 1
-                toks.append(Token("qident", src[i:k], line, col))
-                col += k - i
-                i = k
-                continue
-            kind = word if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for p in PUNCT:
-            if src.startswith(p, i):
-                matched = p
-                break
-        if matched is None:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-        toks.append(Token(matched, matched, line, col))
-        i += len(matched)
-        col += len(matched)
-    toks.append(Token("eof", "", line, col))
-    return toks
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        else:
+            toks.append(Token("eof", "", line, col))
+            return toks
+        toks.append(Token(kind, text, line, col))
+        col += len(text)
 
 
 @dataclass
 class NameEnv:
     """Names visible to the parser: datatypes with their constructors,
-    functions, and axioms."""
+    functions, and axioms. Constructors are registered only through
+    `add_ctor`, which keeps the constructor -> datatypes index exact."""
 
     datas: dict[str, dict[str, bool]] = field(default_factory=dict)  # ctor -> is_path
     funs: set[str] = field(default_factory=set)
     axioms: set[str] = field(default_factory=set)
+    owners: dict[str, list[str]] = field(default_factory=dict)  # ctor -> datas
 
     def copy(self) -> "NameEnv":
         return NameEnv({d: dict(cs) for d, cs in self.datas.items()},
-                       set(self.funs), set(self.axioms))
+                       set(self.funs), set(self.axioms),
+                       {c: list(ds) for c, ds in self.owners.items()})
+
+    def add_ctor(self, data: str, name: str, is_path: bool):
+        self.datas[data][name] = is_path
+        self.owners.setdefault(name, []).append(data)
 
     def is_decl(self, name: str) -> bool:
         return name in self.datas or name in self.funs or name in self.axioms
 
-    def ctor_candidates(self, name: str) -> list[str]:
-        return [d for d, cs in self.datas.items() if name in cs]
+    def ctor_candidates(self, name: str) -> Sequence[str]:
+        """Datatypes declaring a constructor `name` (read-only)."""
+        return self.owners.get(name, ())
 
 
 class Parser:
@@ -414,7 +402,7 @@ class Parser:
         if self.at(":"):
             self.advance()
             ty = self.parse_term(param_names)
-            self.env.datas[data][cname] = True
+            self.env.add_ctor(data, cname, True)
             return CtorDecl(cname, is_path=True, path_type=ty, loc=loc)
         avail: tuple[Pattern, ...] = ()
         bound: list[str] = []
@@ -427,7 +415,7 @@ class Parser:
             self.expect("]")
             avail = tuple(pats)
         args = tuple(self.parse_binder_groups(param_names + bound))
-        self.env.datas[data][cname] = False
+        self.env.add_ctor(data, cname, False)
         return CtorDecl(cname, avail, args, loc=loc)
 
     def parse_fun(self) -> FunDecl:

@@ -1,4 +1,4 @@
-"""Deterministic pretty-printer; the单 output channel for transformed code.
+"""Deterministic pretty-printer; the single output channel for transformed code.
 
 One declaration per block separated by a blank line, two-space indentation
 for constructor rows and clauses, and a single canonical spelling per form:
@@ -27,48 +27,59 @@ def ambiguous_ctors(m: SourceModule) -> frozenset[str]:
 
 
 def print_term(t: Term, prec: int = LOW, qual: frozenset[str] = frozenset()) -> str:
-    text, level = _term(t, qual)
-    if level < prec:
-        return f"({text})"
-    return text
+    """Print on an explicit stack of pending text and (term, precedence)
+    pairs, so the depth of a term is not bounded by Python's recursion."""
+    out: list[str] = []
+    todo: list = [(t, prec)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        parts, level = _parts(item[0], qual)
+        if type(parts) is str:  # an atom
+            out.append(parts)
+        elif level < item[1]:
+            todo += [")", *reversed(parts), "("]
+        else:
+            todo += reversed(parts)
+    return "".join(out)
 
 
-def _term(t: Term, qual: frozenset[str]) -> tuple[str, int]:
+def _parts(t: Term, qual: frozenset[str]) -> tuple[str | list, int]:
+    """An atom's text, or a node's text as literal pieces and
+    (subterm, precedence) holes."""
     match t:
-        case Var(x):
+        case App(f, a):
+            return [(f, APP), " ", (a, ATOM)], APP
+        case Var(x) | DataRef(x) | FunRef(x) | AxiomRef(x):
             return x, ATOM
-        case Univ(level):
-            return f"Type{level}", ATOM
-        case DataRef(n) | FunRef(n) | AxiomRef(n):
-            return n, ATOM
         case CtorRef(d, n):
             return (f"{d}.{n}" if n in qual else n), ATOM
+        case Univ(level):
+            return f"Type{level}", ATOM
         case Refl():
             return "refl", ATOM
-        case App(f, a):
-            return f"{print_term(f, APP, qual)} {print_term(a, ATOM, qual)}", APP
         case IdType(c, l, r):
-            parts = [print_term(x, ATOM, qual) for x in (c, l, r)]
-            return "Id " + " ".join(parts), APP
+            return ["Id ", (c, ATOM), " ", (l, ATOM), " ", (r, ATOM)], APP
         case JElim(m, b, p):
-            parts = [print_term(x, ATOM, qual) for x in (m, b, p)]
-            return "J " + " ".join(parts), APP
+            return ["J ", (m, ATOM), " ", (b, ATOM), " ", (p, ATOM)], APP
         case Lam(_, _):
             names = []
             while isinstance(t, Lam):
                 names.append(t.binder)
                 t = t.body
-            return f"\\{' '.join(names)} => {print_term(t, LOW, qual)}", LOW
+            return [f"\\{' '.join(names)} => ", (t, LOW)], LOW
         case Pi(x, dom, cod):
             if x == "_" or x not in free_vars(cod):
-                lhs = print_term(dom, APP, qual)
-                return f"{lhs} -> {print_term(cod, LOW, qual)}", LOW
-            groups = []
+                return [(dom, APP), " -> ", (cod, LOW)], LOW
+            parts: list = ["Pi "]
             while (isinstance(t, Pi) and t.binder != "_"
                    and t.binder in free_vars(t.codomain)):
-                groups.append(f"({t.binder} : {print_term(t.domain, LOW, qual)})")
+                parts += [f"({t.binder} : ", (t.domain, LOW), ") "]
                 t = t.codomain
-            return f"Pi {' '.join(groups)} -> {print_term(t, LOW, qual)}", LOW
+            parts[-1] = ") -> "
+            return parts + [(t, LOW)], LOW
     raise AssertionError(f"unprintable term {t!r}")
 
 

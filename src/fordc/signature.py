@@ -69,23 +69,40 @@ class AxiomInfo:
 
 @dataclass
 class Signature:
+    """Grows only through the `add_*` methods, which keep `names` (every
+    declaration and constructor name) exact."""
+
     datas: dict[str, DataInfo] = field(default_factory=dict)
     funs: dict[str, FunInfo] = field(default_factory=dict)
     axioms: dict[str, AxiomInfo] = field(default_factory=dict)
+    names: set[str] = field(default_factory=set)
 
     def copy(self) -> "Signature":
-        return Signature(dict(self.datas), dict(self.funs), dict(self.axioms))
+        return Signature(dict(self.datas), dict(self.funs), dict(self.axioms),
+                         set(self.names))
+
+    def add_data(self, info: DataInfo):
+        self.datas[info.decl.name] = info
+        self.names.add(info.decl.name)
+
+    def add_ctor(self, c: CtorInfo):
+        self.datas[c.data].ctors[c.name] = c
+        self.names.add(c.name)
+
+    def add_fun(self, info: FunInfo):
+        self.funs[info.name] = info
+        self.names.add(info.name)
+
+    def add_axiom(self, info: AxiomInfo):
+        self.axioms[info.name] = info
+        self.names.add(info.name)
 
     def has_name(self, name: str) -> bool:
-        if name in self.datas or name in self.funs or name in self.axioms:
-            return True
-        return any(name in d.ctors for d in self.datas.values())
+        return name in self.names
 
     def all_names(self) -> set[str]:
-        out = set(self.datas) | set(self.funs) | set(self.axioms)
-        for d in self.datas.values():
-            out |= set(d.ctors)
-        return out
+        """The live name index; callers must not mutate it."""
+        return self.names
 
     def ctor(self, data: str, name: str) -> CtorInfo:
         return self.datas[data].ctors[name]
@@ -120,7 +137,9 @@ class Signature:
         from .parser import NameEnv
         env = NameEnv()
         for dname, d in self.datas.items():
-            env.datas[dname] = {c.name: c.is_path for c in d.ctors.values()}
+            env.datas[dname] = {}
+            for c in d.ctors.values():
+                env.add_ctor(dname, c.name, c.is_path)
         env.funs = set(self.funs)
         env.axioms = set(self.axioms)
         return env

@@ -8,6 +8,7 @@ names literally).
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 
@@ -125,15 +126,15 @@ def free_vars(t: Term) -> frozenset[str]:
             return frozenset()
 
 
-def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
-    """Deterministic fresh-name scheme: base, base1, base2, ..."""
+def fresh_name(base: str, *avoid: Container[str]) -> str:
+    """Deterministic fresh-name scheme: base, base1, base2, ..., skipping
+    every name in any of the `avoid` containers."""
     root = base.rstrip("0123456789") or "x"
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{root}{i}" in avoid:
+    name, i = base, 0
+    while any(name in a for a in avoid):
         i += 1
-    return f"{root}{i}"
+        name = f"{root}{i}"
+    return name
 
 
 def subst_term(t: Term, sub: dict[str, Term]) -> Term:

@@ -216,3 +216,12 @@ def test_false_arithmetic_shows_normal_form(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(mod))
     assert code == 1 and "E-TYPE" in err
     assert f"got {numeral(401)}\n" in err
+
+
+def test_false_deep_arithmetic_prints_without_recursion_error(tmp_path,
+                                                              capsys):
+    mod = tmp_path / "arith.fda"
+    mod.write_text(arith_theorem(30, 30, extra_suc=True))
+    code, _, err = run(capsys, "check", str(mod))
+    assert code == 1 and "E-TYPE" in err and "Traceback" not in err
+    assert f"expected {numeral(900)}, got {numeral(901)}\n" in err

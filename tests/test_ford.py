@@ -207,6 +207,14 @@ data Dep : (n : Nat) (i : Fin n)
     assert ei.value.code == "E-FORD-TARGET"
 
 
+def test_ford_leaves_the_input_signature_alone():
+    m, sig = load_checked("vec.fda")
+    names = set(sig.all_names())
+    ford_module(m, sig, "Vec")
+    assert not sig.has_name("VecF") and "VecF" not in sig.datas
+    assert sig.all_names() == names
+
+
 def test_suffix_collision_rejected():
     src = corpus_text("so.fda") + "\naxiom SoF : Type0\n"
     m = parse(src)

@@ -3,12 +3,12 @@ import pytest
 from fordc import (Checker, CoverageError, PatCtor, PatVar,
                    StepBudgetExceeded, TypeCheckError, UnifyMismatch,
                    UnifyStuck, UnifySuccess, check_module, convertible,
-                   normalize, parse, parse_term_text, print_term,
-                   unify_indices)
+                   normalize, parse, parse_term_text, prelude_signature,
+                   print_term, unify_indices)
 from fordc.normalize import Normalizer
 from fordc.terms import (App, AxiomRef, CtorRef, JElim, Lam, Var, alpha_eq,
                          mk_app)
-from conftest import PLUS_MULT, load_checked, mult_term
+from conftest import PLUS_MULT, load, load_checked, mult_term
 
 
 def pt(sig, s, **kw):
@@ -24,6 +24,21 @@ def test_vec_module_accepted():
 def test_zu_module_accepted():
     _, sig = load_checked("zu.fda")
     assert "succ" in sig.funs and "pred" in sig.funs
+
+
+def test_checking_a_module_twice_succeeds():
+    m = load("vec.fda")
+    first, second = check_module(m), check_module(m)
+    assert first.all_names() == second.all_names()
+
+
+def test_prelude_names_unchanged_by_checking():
+    before = set(prelude_signature().all_names())
+    assert before == {"subst", "idp", "sym", "trans"}
+    sig = check_module(load("vec.fda"))
+    assert {"Vec", "cons"} <= sig.all_names()
+    assert prelude_signature().all_names() == before
+    assert not prelude_signature().has_name("cons")
 
 
 def test_availability_arity_violation():

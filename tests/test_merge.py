@@ -1,8 +1,8 @@
 import pytest
 
 from fordc import (PatCtor, TransformError, check_module, convertible,
-                   merge_block, merge_with_paths, normalize, parse,
-                   parse_term_text, print_module)
+                   merge_block, normalize, parse, parse_term_text,
+                   print_module)
 from fordc.terms import JElim
 from conftest import corpus_text, load_checked
 
@@ -65,7 +65,7 @@ def test_merge_with_path_gives_loop_shape():
 def test_empty_paths_is_plain_merge():
     a, _, _ = merged("int-point.fda", ["Int"])
     m, sig = load_checked("int-point.fda")
-    b, _ = merge_with_paths(m, sig, ["Int"], [])
+    b, _ = merge_block(m, sig, ["Int"], [])
     assert print_module(a) == print_module(b)
 
 

@@ -1,7 +1,9 @@
 import pytest
 
-from fordc import (DataDecl, ParseError, PatCtor, PatVar, ScopeError, parse,
-                   print_module)
+from fordc import (DataDecl, ParseError, PatCtor, PatInacc, PatVar,
+                   ScopeError, parse, print_module)
+from fordc.parser import lex
+from fordc.terms import CtorRef
 from conftest import CORPUS, corpus_text, load
 
 
@@ -123,3 +125,62 @@ def test_empty_module():
     m = parse("")
     assert m.decls == ()
     assert print_module(m) == ""
+
+
+@pytest.mark.parametrize("src, expected", [
+    ("D.c", [("qident", "D.c", 1, 1), ("eof", "", 1, 4)]),
+    ("refl.x", [("refl", "refl", 1, 1), (".", ".", 1, 5),
+                ("ident", "x", 1, 6), ("eof", "", 1, 7)]),
+    ("A.b.c", [("qident", "A.b", 1, 1), (".", ".", 1, 4),
+               ("ident", "c", 1, 5), ("eof", "", 1, 6)]),
+    ("a -->b\n=>", [("ident", "a", 1, 1), ("=>", "=>", 2, 1),
+                    ("eof", "", 2, 3)]),
+    ("x' y''", [("ident", "x'", 1, 1), ("ident", "y''", 1, 4),
+                ("eof", "", 1, 7)]),
+    ("\tx\r\n (", [("ident", "x", 1, 2), ("(", "(", 2, 2),
+                    ("eof", "", 2, 3)]),
+    # the column does not advance over a comment
+    ("x  -- trailing", [("ident", "x", 1, 1), ("eof", "", 1, 4)]),
+])
+def test_lexer_tokens(src, expected):
+    assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == expected
+
+
+def test_lexer_rejects_non_ascii_with_position():
+    with pytest.raises(ParseError) as ei:
+        lex("data B\n  | \u00e9")
+    assert ei.value.message == "unexpected character '\u00e9'"
+    assert ei.value.loc == (2, 5)
+
+
+def test_ambiguous_constructor_lists_sorted_qualifications():
+    src = "data B\n  | mk\n\ndata A\n  | mk\n\ndef use : A => mk\n"
+    with pytest.raises(ScopeError) as ei:
+        parse(src)
+    assert ei.value.message.endswith("qualify as one of A.mk, B.mk")
+
+
+def test_def_named_like_a_constructor_is_a_duplicate():
+    with pytest.raises(ScopeError) as ei:
+        parse("data Bool\n  | true\n  | false\n\ndef true : Bool => false")
+    assert ei.value.message == "duplicate declaration 'true'"
+
+
+def test_constructor_named_like_a_declaration_clashes():
+    with pytest.raises(ScopeError) as ei:
+        parse("axiom a : Type0\n\ndata T\n  | a")
+    assert ei.value.message == "constructor 'a' collides with a declaration"
+
+
+def test_constructor_in_clause_row_is_not_a_pattern_variable():
+    src = """
+data Nat
+  | zero
+  | suc (n : Nat)
+
+def f (a : Nat) (b : Nat) : Nat
+  | zero .(zero) => zero
+"""
+    (clause,) = parse(src).decls[1].clauses
+    assert clause.pats == (PatCtor("Nat", "zero"),
+                           PatInacc(CtorRef("Nat", "zero")))
