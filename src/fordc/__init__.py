@@ -20,8 +20,7 @@ from .merge import MergePlan, merge_block
 from .parser import NameEnv, parse_term_text
 from .printer import print_module, print_term
 from .signature import Signature
-from .unify import (UnifyMismatch, UnifyStuck, UnifySuccess, unify_indices,
-                    unify_terms)
+from .unify import UnifyMismatch, UnifyStuck, UnifySuccess, unify_terms
 
 
 def parse(source: str, env: NameEnv | None = None) -> SourceModule:

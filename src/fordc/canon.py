@@ -10,8 +10,8 @@ from __future__ import annotations
 from .decls import Binder
 from .normalize import Normalizer
 from .signature import Signature
-from .terms import (REFL, CtorRef, IdType, Term, Var, free_vars, fresh_name,
-                    mk_app, subst_term)
+from .terms import (REFL, CtorRef, IdType, Term, Var, free_vars, mk_app,
+                    subst_term)
 from .unify import UnifySuccess, unify_terms
 
 
@@ -30,39 +30,27 @@ def canonical_values(sig: Signature, ty: Term, depth: int,
     dinfo, us, vs = split
     out: list[Term] = []
     for c in dinfo.point_ctors():
-        slots, avail = sig.ctor_slots(c, us)
-        ren: dict[str, Term] = {}
-        names: list[str] = []
-        for s in slots:
-            n2 = fresh_name(s.name, names, sig.all_names())
-            names.append(n2)
-            ren[s.name] = Var(n2)
-        res = unify_terms(sig, nrm,
-                          list(zip(vs, [subst_term(a, ren) for a in avail])),
-                          set(names[:len(c.patvars)]), set())
+        slots, avail, row = sig.open_ctor(c, us, set())
+        res = unify_terms(sig, nrm, list(zip(vs, avail)), row, set())
         if not isinstance(res, UnifySuccess):
             continue
-        sub = dict(res.subst)
-        solved = [subst_term(Var(n), sub) for n in names[:len(c.patvars)]]
+        sub = res.subst
+        n_row = len(c.patvars)
+        solved = [subst_term(Var(b.name), sub) for b in slots[:n_row]]
         if any(free_vars(v) for v in solved):
             continue  # index leaves a row variable open; not closed here
-        for filled in _fill_args(sig, nrm, slots[len(c.patvars):],
-                                 names[len(c.patvars):], sub, ren,
-                                 depth - 1):
+        for filled in _fill_args(sig, nrm, slots[n_row:], sub, depth - 1):
             out.append(mk_app(CtorRef(c.data, c.name), *us, *solved, *filled))
     return out
 
 
-def _fill_args(sig, nrm, slots, names, sub, ren, depth):
+def _fill_args(sig, nrm, slots, sub, depth):
     if not slots:
         yield []
         return
     head, rest = slots[0], slots[1:]
-    ty = subst_term(subst_term(head.type, ren), sub)
-    for v in canonical_values(sig, ty, depth, nrm):
-        sub2 = dict(sub)
-        sub2[names[0]] = v
-        for tail in _fill_args(sig, nrm, rest, names[1:], sub2, ren, depth):
+    for v in canonical_values(sig, subst_term(head.type, sub), depth, nrm):
+        for tail in _fill_args(sig, nrm, rest, {**sub, head.name: v}, depth):
             yield [v] + tail
 
 

@@ -19,7 +19,7 @@ from .ford import ford_module
 from .kernel import check_module, prelude_signature
 from .merge import merge_block
 from .normalize import DEFAULT_STEP_BUDGET
-from .parser import parse
+from .parser import is_ident, parse
 from .printer import print_module
 
 EXIT_OK = 0
@@ -92,13 +92,32 @@ def cmd_check(args) -> int:
     return status
 
 
-def cmd_ford(args) -> int:
-    module, sig = _load_checked(args.path, args.step_budget)
+def _transformed(path: str, budget: int, transform):
+    """Load and check `path`, apply `transform(module, sig)` and re-check
+    its output module. A load failure raises `_Failure`; a failure of the
+    transform or of the re-check raises its `FordcError`."""
+    module, sig = _load_checked(path, budget)
+    out, plan = transform(module, sig)
+    check_module(out, budget)
+    return out, plan
+
+
+def _ford(args, module, sig):
+    return ford_module(module, sig, args.data, args.suffix)
+
+
+def _merge(args, module, sig):
+    names = [n for n in args.types.split(",") if n]
+    paths = [_parse_path_spec(s) for s in args.path_ctor]
+    return merge_block(module, sig, names, paths)
+
+
+def cmd_transform(args) -> int:
     try:
-        out, plan = ford_module(module, sig, args.data, args.suffix)
-        check_module(out, args.step_budget)
+        out, plan = _transformed(args.path, args.step_budget,
+                                 lambda m, sig: args.transform(args, m, sig))
     except TransformError as e:
-        raise _Failure(EXIT_FORD, e.diagnostic(args.path))
+        raise _Failure(args.exit_code, e.diagnostic(args.path))
     except FordcError as e:
         raise _Failure(EXIT_TYPE, e.diagnostic(args.path))
     text = print_module(out)
@@ -118,32 +137,27 @@ def _parse_path_spec(spec: str) -> tuple[str, str, str]:
         raise _Failure(EXIT_MERGE, Diagnostic(
             "error", "E-MERGE-BLOCK",
             f"--path expects name:Member:Member, got {spec!r}"))
+    if not is_ident(parts[0]):
+        raise _Failure(EXIT_MERGE, Diagnostic(
+            "error", "E-MERGE-BLOCK",
+            f"--path name {parts[0]!r} is not an identifier"))
     return parts[0], parts[1], parts[2]
 
 
-def cmd_merge(args) -> int:
-    module, sig = _load_checked(args.path, args.step_budget)
-    names = [n for n in args.types.split(",") if n]
-    paths = [_parse_path_spec(s) for s in args.path_ctor]
-    try:
-        out, plan = merge_block(module, sig, names, paths)
-        check_module(out, args.step_budget)
-    except TransformError as e:
-        raise _Failure(EXIT_MERGE, e.diagnostic(args.path))
-    except FordcError as e:
-        raise _Failure(EXIT_TYPE, e.diagnostic(args.path))
-    text = print_module(out)
-    report = json.dumps(plan.report(), indent=2, sort_keys=True)
-    if args.out:
-        _atomic_write(args.out, text)
-        print(report)
-    else:
-        sys.stdout.write(text)
-        print(report, file=sys.stderr)
-    return EXIT_OK
-
-
 # -- corpus harness ------------------------------------------------------------
+
+# The fields each case kind takes: their names, then the least and the most
+# number of them (None: no limit).
+_CASE_FIELDS = {
+    "check": ("<input>", 1, 1),
+    "check-error": ("<input> <code>", 2, 2),
+    "parse": ("<input>", 1, 1),
+    "golden": ("<input> <golden>", 2, 2),
+    "ford": ("<input> <golden> <data> [<suffix>]", 3, 4),
+    "ford-error": ("<input> <data>", 2, 2),
+    "merge": ("<input> <golden> <types> [<name:member:member>...]", 3, None),
+    "merge-error": ("<input> <types>", 2, 2),
+}
 
 
 def _run_case(kind: str, fields: list[str], base: str, budget: int) -> str | None:
@@ -152,76 +166,54 @@ def _run_case(kind: str, fields: list[str], base: str, budget: int) -> str | Non
     def p(rel: str) -> str:
         return os.path.join(base, rel)
 
+    if kind not in _CASE_FIELDS:
+        return f"unknown case kind {kind!r}"
+    names, least, most = _CASE_FIELDS[kind]
+    if not least <= len(fields) <= (most or len(fields)):
+        return f"{kind} takes the fields {names}, got {len(fields)}"
+    inp = fields[0]
     if kind == "check":
-        (inp,) = fields
         _load_checked(p(inp), budget)
         return None
     if kind == "check-error":
-        inp, code = fields
         try:
             _load_checked(p(inp), budget)
         except _Failure as f:
-            if f.diag.code == code:
+            if f.diag.code == fields[1]:
                 return None
-            return f"expected {code}, got {f.diag.code}"
-        return f"expected failure {code}, module checked"
-    if kind == "parse":
-        (inp,) = fields
-        try:
-            parse(_read(p(inp)), prelude_signature().name_env())
-        except ParseError as e:
-            return f"parse failed: {e.message}"
-        return None
-    if kind == "golden":
-        inp, golden = fields
+            return f"expected {fields[1]}, got {f.diag.code}"
+        return f"expected failure {fields[1]}, module checked"
+    if kind in ("parse", "golden"):
         try:
             module = parse(_read(p(inp)), prelude_signature().name_env())
         except ParseError as e:
             return f"parse failed: {e.message}"
-        if print_module(module) != _read(p(golden)):
+        if kind == "golden" and print_module(module) != _read(p(fields[1])):
             return "printed text differs from golden"
         return None
-    if kind == "ford":
-        inp, golden, data = fields[:3]
-        suffix = fields[3] if len(fields) > 3 else "F"
+    if kind in ("ford-error", "merge-error"):
         module, sig = _load_checked(p(inp), budget)
         try:
-            out, _ = ford_module(module, sig, data, suffix)
-            check_module(out, budget)
-        except FordcError as e:
-            return f"ford failed: {e.message}"
-        if print_module(out) != _read(p(golden)):
-            return "forded module differs from golden"
-        return None
-    if kind == "ford-error":
-        inp, data = fields
-        module, sig = _load_checked(p(inp), budget)
-        try:
-            ford_module(module, sig, data)
+            if kind == "ford-error":
+                ford_module(module, sig, fields[1])
+            else:
+                merge_block(module, sig, fields[1].split(","))
         except TransformError:
             return None
-        return "expected the ford transform to be rejected"
-    if kind == "merge":
-        inp, golden, types = fields[:3]
-        paths = [_parse_path_spec(s) for s in fields[3:]]
-        module, sig = _load_checked(p(inp), budget)
-        try:
-            out, _ = merge_block(module, sig, types.split(","), paths)
-            check_module(out, budget)
-        except FordcError as e:
-            return f"merge failed: {e.message}"
-        if print_module(out) != _read(p(golden)):
-            return "merged module differs from golden"
-        return None
-    if kind == "merge-error":
-        inp, types = fields
-        module, sig = _load_checked(p(inp), budget)
-        try:
-            merge_block(module, sig, types.split(","))
-        except TransformError:
-            return None
-        return "expected the merge transform to be rejected"
-    return f"unknown case kind {kind!r}"
+        what = kind.removesuffix("-error")
+        return f"expected the {what} transform to be rejected"
+    golden, target, rest = fields[1], fields[2], fields[3:]
+    paths = [_parse_path_spec(s) for s in rest] if kind == "merge" else []
+    try:
+        out, _ = _transformed(p(inp), budget, lambda m, sig: (
+            ford_module(m, sig, target, *rest) if kind == "ford"
+            else merge_block(m, sig, target.split(","), paths)))
+    except FordcError as e:
+        return f"{kind} failed: {e.message}"
+    if print_module(out) != _read(p(golden)):
+        done = {"ford": "forded", "merge": "merged"}[kind]
+        return f"{done} module differs from golden"
+    return None
 
 
 def cmd_corpus(args) -> int:
@@ -274,7 +266,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suffix", default="F")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_ford, json=False)
+    sp.set_defaults(fn=cmd_transform, transform=_ford, exit_code=EXIT_FORD,
+                    json=False)
 
     sp = sub.add_parser("merge", help="merge datatypes into one family")
     sp.add_argument("path")
@@ -284,7 +277,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="add an axiomatic identity between two tags")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_merge, json=False)
+    sp.set_defaults(fn=cmd_transform, transform=_merge, exit_code=EXIT_MERGE,
+                    json=False)
 
     sp = sub.add_parser("corpus", help="run a corpus manifest")
     sp.add_argument("manifest")

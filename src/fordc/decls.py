@@ -122,23 +122,3 @@ class SourceModule:
                 return d
         return None
 
-
-def pattern_vars(p: Pattern) -> list[str]:
-    """Variables bound by a pattern, in left-to-right order."""
-    match p:
-        case PatVar(x):
-            return [x]
-        case PatCtor(_, _, args):
-            out = []
-            for a in args:
-                out.extend(pattern_vars(a))
-            return out
-        case _:
-            return []
-
-
-def row_vars(row: tuple[Pattern, ...]) -> list[str]:
-    out = []
-    for p in row:
-        out.extend(pattern_vars(p))
-    return out

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
                     PatRefl, PatVar, SourceModule)
 from .diagnostics import TransformError
+from .kernel import Checker, prelude_signature
+from .parser import is_ident, parse
 from .printer import print_module, print_term
 from .signature import Signature, telescope_vars
 from .terms import (REFL, CtorRef, DataRef, FunRef, IdType, Term, Var,
-                    free_vars, fresh_name, map_term, mk_app, spine,
+                    data_refs, free_vars, fresh_name, map_term, mk_app, spine,
                     subst_term)
 
 
@@ -73,6 +75,10 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
                 "fording does not support", code="E-FORD-TARGET")
         bound.add(b.name)
     new_name = d.name + suffix
+    if not is_ident(new_name):
+        raise TransformError(
+            f"forded name {new_name!r} is not an identifier; pick another "
+            "--suffix", code="E-NAME-CLASH")
     if sig.has_name(new_name):
         raise TransformError(
             f"forded name {new_name!r} collides with an existing "
@@ -83,7 +89,7 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
     plan_ctors: list[CtorFordInfo] = []
     for c in d.ctors:
         if c.is_path:
-            if d.name in _named_datas(c.path_type):
+            if d.name in data_refs(c.path_type):
                 raise TransformError(
                     f"path constructor {c.name} mentions {d.name} itself; "
                     "its endpoints cannot be transported to the forded "
@@ -132,19 +138,12 @@ def _convert_arg(sig: Signature, plan: FordPlan, ty: Term, var: Term,
     if isinstance(head, DataRef) and head.name == plan.target:
         call_args = [subst_term(a, ren) for a in args]
         return mk_app(FunRef(fun), *call_args, var)
-    if plan.target in _named_datas(ty):
+    if plan.target in data_refs(ty):
         raise TransformError(
             f"argument type {print_term(ty)} mentions {plan.target} in a "
             "nested position; converter generation does not support this",
             code="E-FORD-TARGET")
     return var
-
-
-def _named_datas(t: Term) -> set[str]:
-    out: set[str] = set()
-    map_term(t, lambda u: (out.add(u.name), u)[1]
-             if isinstance(u, DataRef) else u)
-    return out
 
 
 def gen_converters(plan: FordPlan, sig: Signature
@@ -167,19 +166,15 @@ def gen_converters(plan: FordPlan, sig: Signature
     for cf in plan.per_ctor:
         ci = sig.datas[plan.target].ctors[cf.name]
         taken = binder_names | {scrut}
-        ren: dict[str, Term] = {}
-        local: dict[str, str] = {}
-        for b in ci.patvars + ci.args:
-            n2 = fresh_name(b.name, taken, globals_)
-            taken.add(n2)
-            local[b.name] = n2
-            ren[b.name] = Var(n2)
+        slots, avail, _ = sig.open_ctor(ci, telescope_vars(params), taken)
+        local = {b.name: s.name for b, s in zip(ci.patvars + ci.args, slots)}
+        ren = {k: Var(v) for k, v in local.items()}
+        taken |= {s.name for s in slots}
 
         # original -> forded
-        sub = [PatVar(local[b.name]) for b in ci.patvars + ci.args]
+        sub = [PatVar(s.name) for s in slots]
         pat_row = lead + [PatCtor(plan.target, cf.name, tuple(sub))]
-        rhs_args: list[Term] = [Var(b.name) for b in params]
-        rhs_args += [subst_term(t, ren) for t in ci.avail_terms]
+        rhs_args: list[Term] = [Var(b.name) for b in params] + avail
         hoisted = [b for b in ci.patvars if b.name not in cf.kept]
         rhs_args += [Var(local[b.name]) for b in hoisted]
         rhs_args += [REFL] * len(cf.equations)
@@ -240,11 +235,8 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
                 "is not supported", code="E-FORD-TARGET")
     forded, plan = ford_data(d, sig, suffix)
     sig2 = sig.copy()
-    from .kernel import Checker
     Checker(sig2).check_data(forded)
     to_fun, from_fun = gen_converters(plan, sig2)
     out = SourceModule(m.decls + (forded, to_fun, from_fun))
-    from .parser import parse
-    from .kernel import prelude_signature
     reparsed = parse(print_module(out), prelude_signature().name_env())
     return reparsed, plan

@@ -16,45 +16,16 @@ from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     Telescope)
 from .diagnostics import CoverageError, FordcError, TypeCheckError
 from .normalize import DEFAULT_STEP_BUDGET, Normalizer
+from .parser import NameEnv, parse
 from .printer import print_pattern, print_term
 from .signature import (AxiomInfo, CtorInfo, DataInfo, FunInfo, Signature,
                         telescope_pi, telescope_vars)
 from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
-                    JElim, Lam, Pi, Refl, Term, Univ, Var, free_vars,
-                    fresh_name, mk_app, spine, subst_term)
+                    JElim, Lam, Pi, Refl, Term, Univ, Var, data_refs,
+                    free_vars, fresh_name, mk_app, spine, spines, subst_term)
 from .unify import UnifyMismatch, UnifyStuck, unify_terms
 
 Ctx = dict[str, Term]
-
-
-def _data_refs(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def walk(u: Term):
-        match u:
-            case DataRef(n):
-                out.add(n)
-            case Pi(_, d, c):
-                walk(d)
-                walk(c)
-            case Lam(_, b):
-                walk(b)
-            case App(f, a):
-                walk(f)
-                walk(a)
-            case IdType(c, l, r):
-                walk(c)
-                walk(l)
-                walk(r)
-            case JElim(m, b, p):
-                walk(m)
-                walk(b)
-                walk(p)
-            case _:
-                pass
-
-    walk(t)
-    return out
 
 
 class Checker:
@@ -215,7 +186,7 @@ class Checker:
     def check_data(self, d: DataDecl, group: set[str] | None = None):
         group = group or {d.name}
         for b in d.params + d.indices:
-            hit = _data_refs(b.type) & group
+            hit = data_refs(b.type) & group
             if hit:
                 raise TypeCheckError(
                     f"data {d.name}: {sorted(hit)[0]} cannot appear in its "
@@ -336,7 +307,7 @@ class Checker:
     def _check_positive(self, ty: Term, group: set[str], where: str,
                         loc) -> None:
         def no_occ(t: Term):
-            hit = _data_refs(t) & group
+            hit = data_refs(t) & group
             if hit:
                 raise TypeCheckError(
                     f"{where}: {sorted(hit)[0]} occurs in a negative "
@@ -360,7 +331,7 @@ class Checker:
         group = {d.name for d in block.decls}
         for d in block.decls:
             for b in d.params + d.indices:
-                dep = _data_refs(b.type) & group
+                dep = data_refs(b.type) & group
                 if dep:
                     raise TypeCheckError(
                         f"mutual datatype {d.name} is indexed by group "
@@ -472,22 +443,10 @@ class Checker:
         split = self.sig.split_data_type(tyn)
         if split is not None:
             dinfo, us, vs = split
-            globals_ = self.sig.all_names()
             for c in dinfo.point_ctors():
-                slots, avail = self.sig.ctor_slots(c, us)
-                taken = set(colnames)
-                ren: dict[str, Term] = {}
-                new_slots = []
-                for s in slots:
-                    n2 = fresh_name(s.name, taken, globals_)
-                    taken.add(n2)
-                    new_slots.append((n2, subst_term(s.type, ren)))
-                    ren[s.name] = Var(n2)
-                avail_inst = [subst_term(a, ren) for a in avail]
-                row_flex = {n for (n, _), s in zip(new_slots, c.patvars)}
-                res = unify_terms(self.sig, self.nrm,
-                                  list(zip(vs, avail_inst)), row_flex,
-                                  colnames)
+                slots, avail, row = self.sig.open_ctor(c, us, colnames)
+                res = unify_terms(self.sig, self.nrm, list(zip(vs, avail)),
+                                  row, colnames)
                 if isinstance(res, UnifyMismatch):
                     continue
                 if isinstance(res, UnifyStuck):
@@ -498,13 +457,13 @@ class Checker:
                         f"{dinfo.decl.name}.{c.name}: unification stuck on "
                         f"{print_term(res.blocker)}")
                 sub = res.subst
-                cols2 = ([(n, subst_term(t, sub)) for n, t in new_slots]
-                         + [(n, subst_term(t, sub)) for n, t in cols[1:]])
+                cols2 = [(n, subst_term(t, sub)) for n, t in
+                         [(b.name, b.type) for b in slots] + cols[1:]]
                 rows2 = []
                 for r in rows:
                     p0 = r[0]
                     if isinstance(p0, (PatVar, PatInacc)):
-                        rows2.append([PatVar("_")] * len(new_slots) + r[1:])
+                        rows2.append([PatVar("_")] * len(slots) + r[1:])
                     elif isinstance(p0, PatCtor) and p0.name == c.name:
                         rows2.append(list(p0.args) + r[1:])
                 self._cover(fname, cols2, rows2, acc + [c.name], set(gen))
@@ -538,27 +497,13 @@ class Checker:
             split = self.sig.split_data_type(tyn)
             if split is not None:
                 dinfo, us, vs = split
-                alive = False
-                globals_ = self.sig.all_names()
                 for c in dinfo.point_ctors():
-                    slots, avail = self.sig.ctor_slots(c, us)
-                    taken = set(colnames)
-                    ren: dict[str, Term] = {}
-                    row_flex = set()
-                    for k, s in enumerate(slots):
-                        n2 = fresh_name(s.name, taken, globals_)
-                        taken.add(n2)
-                        ren[s.name] = Var(n2)
-                        if k < len(c.patvars):
-                            row_flex.add(n2)
-                    res = unify_terms(
-                        self.sig, self.nrm,
-                        list(zip(vs, [subst_term(a, ren) for a in avail])),
-                        row_flex, colnames)
+                    _, avail, row = self.sig.open_ctor(c, us, colnames)
+                    res = unify_terms(self.sig, self.nrm,
+                                      list(zip(vs, avail)), row, colnames)
                     if not isinstance(res, UnifyMismatch):
-                        alive = True
                         break
-                if not alive:
+                else:
                     return True
             elif isinstance(tyn, IdType):
                 res = unify_terms(self.sig, self.nrm,
@@ -572,30 +517,8 @@ class Checker:
             return
         clauses = (self.sig.funs[f.name].clauses if f.body is not None
                    else list(f.clauses))
-        calls: list[tuple[Clause, list[Term]]] = []
-
-        def walk(c: Clause, t: Term):
-            head, args = spine(t)
-            if isinstance(head, FunRef) and head.name == f.name:
-                calls.append((c, args))
-            for a in args:
-                walk(c, a)
-            if isinstance(head, Pi):
-                walk(c, head.domain)
-                walk(c, head.codomain)
-            elif isinstance(head, Lam):
-                walk(c, head.body)
-            elif isinstance(head, IdType):
-                walk(c, head.carrier)
-                walk(c, head.lhs)
-                walk(c, head.rhs)
-            elif isinstance(head, JElim):
-                walk(c, head.motive)
-                walk(c, head.base)
-                walk(c, head.path)
-
-        for c in clauses:
-            walk(c, c.rhs)
+        calls = [(c, args) for c in clauses for head, args in spines(c.rhs)
+                 if isinstance(head, FunRef) and head.name == f.name]
         if not calls:
             return
 
@@ -736,31 +659,22 @@ class _ClauseState:
                 f"{print_term(tyn)}")
         dinfo, us, vs = split
         cinfo = dinfo.ctors[cn]
-        slots, avail = self.sig.ctor_slots(cinfo, us)
-        if len(subs) != len(slots):
+        arity = len(cinfo.patvars) + len(cinfo.args)
+        if len(subs) != arity:
             raise TypeCheckError(
-                f"pattern {cn} takes {len(slots)} arguments "
+                f"pattern {cn} takes {arity} arguments "
                 f"(row variables first), given {len(subs)}", code="E-ARITY")
-        # choose slot names, preferring the user's variable names
-        taken = set(self.ctx) | {sp.name for sp in subs
-                                 if isinstance(sp, PatVar) and sp.name != "_"}
-        globals_ = self.sig.all_names()
-        names: list[str] = []
-        ren: dict[str, Term] = {}
-        for slot, sp in zip(slots, subs):
-            if isinstance(sp, PatVar) and sp.name != "_":
-                n2 = sp.name
-                self.user_vars.add(n2)
-            else:
-                n2 = fresh_name("%" + slot.name.lstrip("%"), taken, globals_)
-            taken.add(n2)
-            self.ctx[n2] = subst_term(slot.type, ren)
-            ren[slot.name] = Var(n2)
-            names.append(n2)
-        n_pat = len(cinfo.patvars)
-        row_flex = set(names[:n_pat])
-        avail_inst = [subst_term(a, ren) for a in avail]
-        self._unify(list(zip(vs, avail_inst)), row_flex,
+        # slots take the user's variable names, and fresh internal names
+        # elsewhere
+        user = [sp.name if isinstance(sp, PatVar) and sp.name != "_" else None
+                for sp in subs]
+        named = {n for n in user if n}
+        slots, avail, row = self.sig.open_ctor(cinfo, us, set(self.ctx) | named,
+                                               user, "%")
+        self.user_vars |= named
+        self.ctx.update((b.name, b.type) for b in slots)
+        names = [b.name for b in slots]
+        self._unify(list(zip(vs, avail)), row,
                     f"splitting {print_term(tyn)} with {cn}")
         values: list[Term] = []
         for name, sp in zip(names, subs):
@@ -817,7 +731,6 @@ _PRELUDE: Signature | None = None
 def prelude_signature() -> Signature:
     global _PRELUDE
     if _PRELUDE is None:
-        from .parser import NameEnv, parse
         sig = Signature()
         Checker(sig).check_module(parse(PRELUDE_SOURCE, NameEnv()))
         _PRELUDE = sig

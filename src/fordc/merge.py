@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 from .decls import (Binder, CtorDecl, DataDecl, FunDecl, MutualBlock,
                     PatCtor, SourceModule)
 from .diagnostics import TransformError
+from .kernel import prelude_signature
+from .parser import parse
 from .printer import print_module
 from .signature import Signature
-from .terms import (App, CtorRef, DataRef, IdType, Term, Univ, map_term)
+from .terms import (App, CtorRef, DataRef, IdType, Term, Univ, data_refs,
+                    map_term)
 
 
 @dataclass
@@ -78,15 +81,14 @@ def _block_positions(m: SourceModule, names: list[str]) -> tuple[int, int]:
     return hit[0], hit[-1]
 
 
-def _check_member(d: DataDecl, wanted: set[str], sig: Signature):
+def _check_member(d: DataDecl, wanted: set[str]):
     if d.params:
         raise TransformError(
             f"block member {d.name} has parameters; only plain datatypes "
             "can be merged", code="E-MERGE-BLOCK")
     if d.indices:
-        from .kernel import _data_refs
         for b in d.indices:
-            dep = _data_refs(b.type) & wanted
+            dep = data_refs(b.type) & wanted
             if dep:
                 raise TransformError(
                     f"inductive-inductive dependency: {d.name} is indexed "
@@ -116,7 +118,7 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     for decl in m.decls[lo:hi + 1]:
         members.extend(decl.decls if isinstance(decl, MutualBlock) else [decl])
     for d in members:
-        _check_member(d, wanted, sig)
+        _check_member(d, wanted)
 
     taken = (sig.all_names() - wanted
              - {c.name for d in members for c in d.ctors}) | wanted
@@ -189,8 +191,6 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     # re-parse the printed module: later declarations now resolve the old
     # type names to the aliases, and dangling constructor references fail
     # loudly as scope errors
-    from .kernel import prelude_signature
-    from .parser import parse
     out = parse(print_module(SourceModule(out_decls)),
                 prelude_signature().name_env())
     return out, plan

@@ -35,13 +35,19 @@ class Token:
     col: int
 
 
-_TOKEN = re.compile(r"""[ \t\r]*(?:
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_TOKEN = re.compile(rf"""[ \t\r]*(?:
     (?P<nl>\n)
   | (?P<comment>--[^\n]*)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)?)
+  | (?P<word>{_IDENT}(?:\.{_IDENT})?)
   | (?P<punct>->|=>|[()\[\],:|.\\])
   | (?P<bad>.)
   | (?P<end>\Z))""", re.VERBOSE)
+
+
+def is_ident(name: str) -> bool:
+    """Whether `name` lexes as one unqualified identifier."""
+    return re.fullmatch(_IDENT, name) is not None and name not in KEYWORDS
 
 
 def lex(src: str) -> list[Token]:

@@ -7,10 +7,13 @@ declaration order, and afterwards it is only read.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .decls import Binder, Clause, DataDecl, Pattern, Telescope
-from .terms import DataRef, Pi, Term, Univ, Var, mk_app, spine, subst_term
+from .parser import NameEnv
+from .terms import (DataRef, Pi, Term, Univ, Var, fresh_name, mk_app, spine,
+                    subst_term)
 
 
 @dataclass
@@ -129,12 +132,32 @@ class Signature:
         avail = [subst_term(t, sub) for t in c.avail_terms]
         return slots, avail
 
+    def open_ctor(self, c: CtorInfo, params: list[Term], taken: set[str],
+                  fixed: Sequence[str | None] = (), prefix: str = ""
+                  ) -> tuple[list[Binder], list[Term], set[str]]:
+        """Instantiate a constructor at `params` and rename its slots in
+        order. Slot i becomes `fixed[i]` when the caller fixes it, else the
+        first variant of `prefix + name` outside `taken`, the global names
+        and the names picked so far. Returns the renamed slot telescope, the
+        availability row over the new names and the new row variables."""
+        slots, avail = self.ctor_slots(c, params)
+        taken, globals_ = set(taken), self.all_names()
+        ren: dict[str, Term] = {}
+        out: list[Binder] = []
+        for i, s in enumerate(slots):
+            name = (fixed[i] if i < len(fixed) and fixed[i] else
+                    fresh_name(prefix + s.name.lstrip(prefix), taken, globals_))
+            taken.add(name)
+            out.append(Binder(name, subst_term(s.type, ren)))
+            ren[s.name] = Var(name)
+        return (out, [subst_term(a, ren) for a in avail],
+                {b.name for b in out[:len(c.patvars)]})
+
     def data_applied(self, name: str, params: list[Term],
                      indices: list[Term]) -> Term:
         return mk_app(DataRef(name), *params, *indices)
 
-    def name_env(self):
-        from .parser import NameEnv
+    def name_env(self) -> NameEnv:
         env = NameEnv()
         for dname, d in self.datas.items():
             env.datas[dname] = {}

@@ -8,7 +8,7 @@ names literally).
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 
 
@@ -106,6 +106,31 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
         t = t.fn
     args.reverse()
     return t, args
+
+
+def spines(t: Term) -> Iterator[tuple[Term, list[Term]]]:
+    """Every maximal application spine `(head, args)` in `t`, outermost
+    first, on an explicit stack: the arguments and the subterms of each
+    head are visited in turn. A term that is no application is a spine with
+    no arguments. Read-only; `map_term` is the traversal that rebuilds."""
+    stack = [t]
+    while stack:
+        head, args = spine(stack.pop())
+        yield head, args
+        stack += reversed(args)
+        if isinstance(head, Pi):
+            stack += (head.codomain, head.domain)
+        elif isinstance(head, Lam):
+            stack.append(head.body)
+        elif isinstance(head, IdType):
+            stack += (head.rhs, head.lhs, head.carrier)
+        elif isinstance(head, JElim):
+            stack += (head.path, head.base, head.motive)
+
+
+def data_refs(t: Term) -> set[str]:
+    """Names of the datatypes that `t` mentions."""
+    return {h.name for h, _ in spines(t) if isinstance(h, DataRef)}
 
 
 def free_vars(t: Term) -> frozenset[str]:

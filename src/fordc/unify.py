@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decls import Pattern, PatCtor, PatInacc, PatRefl, PatVar
 from .normalize import Normalizer
 from .signature import Signature
-from .terms import (CtorRef, Refl, Term, Var, alpha_eq, free_vars, fresh_name,
-                    mk_app, spine, subst_term)
+from .terms import (CtorRef, Refl, Term, Var, alpha_eq, free_vars, spine,
+                    subst_term)
 
 
 @dataclass
@@ -101,52 +100,3 @@ def unify_terms(sig: Signature, nrm: Normalizer,
             return fail
     return UnifySuccess(sub)
 
-
-def pattern_term(sig: Signature, p: Pattern,
-                 rename: dict[str, str] | None = None) -> Term:
-    """Read a pattern back as a term over its own variables. Constructor
-    patterns must belong to parameterless datatypes here; elaborated rows
-    with parameters are handled inside the kernel."""
-    rename = rename or {}
-    match p:
-        case PatVar(x):
-            return Var(rename.get(x, x))
-        case PatCtor(d, c, args):
-            if sig.datas[d].params:
-                raise ValueError(
-                    f"pattern over parameterized datatype {d} needs elaboration")
-            return mk_app(CtorRef(d, c),
-                          *(pattern_term(sig, a, rename) for a in args))
-        case PatRefl():
-            return Refl()
-        case PatInacc(t):
-            return subst_term(t, {k: Var(v) for k, v in rename.items()})
-    raise AssertionError(f"unknown pattern {p!r}")
-
-
-def unify_indices(sig: Signature, expected: list[Term],
-                  availability: list[Pattern],
-                  flex_ctx: set[str] | frozenset[str] = frozenset(),
-                  nrm: Normalizer | None = None) -> UnifyResult:
-    """Unify a scrutinee's index values against a constructor's
-    availability row. Row variables are always flexible; context variables
-    listed in flex_ctx may be rewritten (eager dependent matching)."""
-    nrm = nrm or Normalizer(sig)
-    avoid = set(flex_ctx)
-    for t in expected:
-        avoid |= free_vars(t)
-    rename: dict[str, str] = {}
-    row_vars: set[str] = set()
-    from .decls import pattern_vars
-    for p in availability:
-        for v in pattern_vars(p):
-            fresh = fresh_name(v, avoid | row_vars)
-            rename[v] = fresh
-            row_vars.add(fresh)
-    row_terms = [pattern_term(sig, p, rename) for p in availability]
-    res = unify_terms(sig, nrm, list(zip(expected, row_terms)),
-                      row_vars, set(flex_ctx))
-    if isinstance(res, UnifySuccess):
-        back = {v: k for k, v in rename.items()}
-        res = UnifySuccess({back.get(k, k): t for k, t in res.subst.items()})
-    return res

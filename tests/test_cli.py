@@ -120,6 +120,42 @@ def test_corpus_corrupted_golden_fails_only_that_case(tmp_path, capsys):
     assert len(fails) == 1 and "so.fda" in fails[0]
 
 
+def test_corpus_wrong_field_count_fails_the_case(tmp_path, capsys):
+    mf = tmp_path / "manifest.txt"
+    mf.write_text(f"check {cp('bool.fda')}\n"
+                  f"check {cp('bool.fda')} extra\n"
+                  f"golden {cp('so.fda')}\n"
+                  f"ford-error {cp('bool.fda')} Bool X\n")
+    code, out, _ = run(capsys, "corpus", str(mf))
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert code == 1 and out.endswith("1 passed, 3 failed\n")
+    assert [f.rsplit(": ", 1)[1] for f in fails] == [
+        "check takes the fields <input>, got 2",
+        "golden takes the fields <input> <golden>, got 1",
+        "ford-error takes the fields <input> <data>, got 3"]
+
+
+def test_ford_suffix_must_give_an_identifier(capsys):
+    code, out, err = run(capsys, "ford", cp("vec.fda"), "--data", "Vec",
+                         "--suffix", "x y")
+    assert code == 4 and out == ""
+    assert err.startswith(f"error[E-NAME-CLASH] {cp('vec.fda')}: forded "
+                          "name 'Vecx y' is not an identifier")
+
+
+def test_merge_path_name_must_be_an_identifier(capsys):
+    code, out, err = run(capsys, "merge", cp("int-point.fda"), "--types",
+                         "Int", "--path", "refl:Int:Int")
+    assert code == 5 and out == ""
+    assert "E-MERGE-BLOCK" in err and "'refl' is not an identifier" in err
+
+
+def test_merge_reports_a_missing_input_before_a_bad_path(capsys):
+    code, _, err = run(capsys, "merge", "missing.fda", "--types", "Nat",
+                       "--path", "bad")
+    assert code == 3 and err.startswith("error[E-IO] missing.fda: ")
+
+
 def test_corpus_empty_manifest(tmp_path, capsys):
     mf = tmp_path / "manifest.txt"
     mf.write_text("# nothing here\n")

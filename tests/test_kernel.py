@@ -1,14 +1,14 @@
 import pytest
 
-from fordc import (Checker, CoverageError, PatCtor, PatVar,
-                   StepBudgetExceeded, TypeCheckError, UnifyMismatch,
-                   UnifyStuck, UnifySuccess, check_module, convertible,
-                   normalize, parse, parse_term_text, prelude_signature,
-                   print_term, unify_indices)
+from fordc import (Checker, CoverageError, PatVar, StepBudgetExceeded,
+                   TypeCheckError, UnifyMismatch, UnifyStuck, UnifySuccess,
+                   check_module, convertible, normalize, parse,
+                   parse_term_text, prelude_signature, print_term,
+                   unify_terms)
 from fordc.normalize import Normalizer
-from fordc.terms import (App, AxiomRef, CtorRef, JElim, Lam, Var, alpha_eq,
-                         mk_app)
-from conftest import PLUS_MULT, load, load_checked, mult_term
+from fordc.terms import (App, AxiomRef, CtorRef, DataRef, JElim, Lam, Var,
+                         alpha_eq, data_refs, mk_app)
+from conftest import PLUS_MULT, corpus_text, load, load_checked, mult_term
 
 
 def pt(sig, s, **kw):
@@ -207,30 +207,36 @@ def test_succ_pred_do_not_compute_axiomatically():
 
 # -- index unification -----------------------------------------------------------
 
+def unify(sig, pairs, flex_row=(), flex_ctx=()):
+    """Unify (index value, row term) pairs, the way a split does."""
+    return unify_terms(sig, Normalizer(sig), pairs, set(flex_row),
+                       set(flex_ctx))
+
+
 def test_unify_exact_constructor_row():
     _, sig = load_checked("so.fda")
-    res = unify_indices(sig, [pt(sig, "true")], [PatCtor("Bool", "true")])
+    res = unify(sig, [(pt(sig, "true"), pt(sig, "true"))])
     assert isinstance(res, UnifySuccess) and res.subst == {}
 
 
 def test_unify_stuck_on_neutral_call():
     _, sig = load_checked("so-forded-delay.fda")
     stuck = pt(sig, "isEmpty xs", locals_=("xs",))
-    res = unify_indices(sig, [stuck], [PatCtor("Bool", "true")])
+    res = unify(sig, [(stuck, pt(sig, "true"))])
     assert isinstance(res, UnifyStuck)
     assert print_term(res.blocker) == "isEmpty xs"
 
 
 def test_unify_constructor_clash():
     _, sig = load_checked("nat.fda")
-    res = unify_indices(sig, [pt(sig, "zero")],
-                        [PatCtor("Nat", "suc", (PatVar("n"),))])
+    res = unify(sig, [(pt(sig, "zero"), pt(sig, "suc n", locals_=("n",)))],
+                flex_row={"n"})
     assert isinstance(res, UnifyMismatch)
 
 
 def test_unify_variable_solves_toward_row():
     _, sig = load_checked("nat.fda")
-    res = unify_indices(sig, [Var("k")], [PatVar("n")], flex_ctx={"k"})
+    res = unify(sig, [(Var("k"), Var("n"))], flex_row={"n"}, flex_ctx={"k"})
     assert isinstance(res, UnifySuccess)
     assert res.subst == {"n": Var("k")}
 
@@ -238,9 +244,27 @@ def test_unify_variable_solves_toward_row():
 def test_unify_success_substitution_is_sound():
     _, sig = load_checked("nat.fda")
     expected = pt(sig, "suc (suc zero)")
-    res = unify_indices(sig, [expected], [PatCtor("Nat", "suc", (PatVar("n"),))])
+    res = unify(sig, [(expected, pt(sig, "suc n", locals_=("n",)))],
+                flex_row={"n"})
     assert isinstance(res, UnifySuccess)
     assert convertible(sig, res.subst["n"], pt(sig, "suc zero"))
+
+
+def test_split_clash_names_the_freshened_row_variable():
+    m = parse(corpus_text("vec.fda")
+              + "\ndef headZ (A : Type0) (v : Vec A zero) : A\n"
+                "  | A (cons _ x xs) => x\n")
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(m)
+    assert ei.value.message == ("splitting Vec A zero with cons: constructor "
+                                "clash between zero and suc %m")
+
+
+def test_data_refs_of_a_deep_application():
+    t = DataRef("Nat")
+    for i in range(10_000):
+        t = App(DataRef(f"D{i % 3}"), t)
+    assert data_refs(t) == {"Nat", "D0", "D1", "D2"}
 
 
 # -- clause checking ----------------------------------------------------------------
