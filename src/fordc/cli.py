@@ -107,9 +107,8 @@ def _ford(args, module, sig):
 
 
 def _merge(args, module, sig):
-    names = [n for n in args.types.split(",") if n]
-    paths = [_parse_path_spec(s) for s in args.path_ctor]
-    return merge_block(module, sig, names, paths)
+    paths = [_parse_path_spec(s, args.path) for s in args.path_ctor]
+    return merge_block(module, sig, _type_names(args.types), paths)
 
 
 def cmd_transform(args) -> int:
@@ -131,16 +130,23 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _parse_path_spec(spec: str) -> tuple[str, str, str]:
+def _type_names(spec: str) -> list[str]:
+    """The datatype names of a comma-separated `--types` block; empty
+    names are dropped."""
+    return [n for n in spec.split(",") if n]
+
+
+def _parse_path_spec(spec: str, path: str) -> tuple[str, str, str]:
+    """A `name:Member:Member` path constructor for the merge of `path`."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise _Failure(EXIT_MERGE, Diagnostic(
             "error", "E-MERGE-BLOCK",
-            f"--path expects name:Member:Member, got {spec!r}"))
+            f"--path expects name:Member:Member, got {spec!r}", path))
     if not is_ident(parts[0]):
         raise _Failure(EXIT_MERGE, Diagnostic(
             "error", "E-MERGE-BLOCK",
-            f"--path name {parts[0]!r} is not an identifier"))
+            f"--path name {parts[0]!r} is not an identifier", path))
     return parts[0], parts[1], parts[2]
 
 
@@ -197,17 +203,17 @@ def _run_case(kind: str, fields: list[str], base: str, budget: int) -> str | Non
             if kind == "ford-error":
                 ford_module(module, sig, fields[1])
             else:
-                merge_block(module, sig, fields[1].split(","))
+                merge_block(module, sig, _type_names(fields[1]))
         except TransformError:
             return None
         what = kind.removesuffix("-error")
         return f"expected the {what} transform to be rejected"
     golden, target, rest = fields[1], fields[2], fields[3:]
-    paths = [_parse_path_spec(s) for s in rest] if kind == "merge" else []
+    paths = [_parse_path_spec(s, p(inp)) for s in rest if kind == "merge"]
     try:
         out, _ = _transformed(p(inp), budget, lambda m, sig: (
             ford_module(m, sig, target, *rest) if kind == "ford"
-            else merge_block(m, sig, target.split(","), paths)))
+            else merge_block(m, sig, _type_names(target), paths)))
     except FordcError as e:
         return f"{kind} failed: {e.message}"
     if print_module(out) != _read(p(golden)):

@@ -11,6 +11,8 @@ unification problem is reported as E-UNIFY-STUCK rather than guessed at.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     PatCtor, PatInacc, PatRefl, Pattern, PatVar, SourceModule,
                     Telescope)
@@ -23,9 +25,38 @@ from .signature import (AxiomInfo, CtorInfo, DataInfo, FunInfo, Signature,
 from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
                     JElim, Lam, Pi, Refl, Term, Univ, Var, data_refs,
                     free_vars, fresh_name, mk_app, spine, spines, subst_term)
-from .unify import UnifyMismatch, UnifyStuck, unify_terms
+from .unify import UnifyMismatch, UnifyResult, UnifyStuck, unify_terms
 
 Ctx = dict[str, Term]
+Case = tuple[CtorInfo | None, list[Binder], Term, UnifyResult]
+
+
+def split_cases(sig: Signature, nrm: Normalizer, tyn: Term,
+                taken: set[str]) -> Iterator[Case] | None:
+    """The cases of a split on the normal type `tyn`, or None when it
+    cannot split. A datatype gives one case per point constructor: its
+    slots opened clear of `taken`, the constructor applied to the
+    parameters and the slots, and the unification of its row with the
+    indices. An identity type gives one `refl` case, unifying its
+    endpoints. The variables in `taken` are flexible; each case unifies
+    only when it is reached."""
+    split = sig.split_data_type(tyn)
+    if split is None and not isinstance(tyn, IdType):
+        return None
+    return _cases(sig, nrm, tyn, split, taken)
+
+
+def _cases(sig, nrm, tyn, split, taken) -> Iterator[Case]:
+    if split is None:
+        yield None, [], REFL, unify_terms(sig, nrm, [(tyn.lhs, tyn.rhs)],
+                                          set(), taken)
+        return
+    dinfo, us, vs = split
+    for c in dinfo.point_ctors():
+        slots, avail, row = sig.open_ctor(c, us, taken)
+        value = mk_app(CtorRef(c.data, c.name), *us, *telescope_vars(slots))
+        yield c, slots, value, unify_terms(sig, nrm, list(zip(vs, avail)),
+                                           row, taken)
 
 
 class Checker:
@@ -400,12 +431,11 @@ class Checker:
         st = _ClauseState(self)
         try:
             for binder, pat in zip(f.binders, clause.pats):
-                expected = self.nf(subst_term(binder.type, st.binder_map))
+                expected = subst_term(binder.type, st.binder_map)
                 st.binder_map[binder.name] = st.elab(pat, expected)
             st.resolve_inaccessible()
             ret = subst_term(f.ret, st.binder_map)
-            rhs = subst_term(clause.rhs, st.rhs_sub)
-            self.check(st.ctx, rhs, ret)
+            self.check(st.ctx, st.current(clause.rhs), ret)
         except TypeCheckError as e:
             if e.loc is None:
                 e.loc = clause.loc
@@ -426,90 +456,54 @@ class Checker:
         if not cols:
             return
         (x, ty) = cols[0]
-        heads = [r[0] for r in rows]
-        if all(isinstance(p, (PatVar, PatInacc)) for p in heads):
+        if all(isinstance(r[0], (PatVar, PatInacc)) for r in rows):
             # the consumed column stands for an arbitrary value: keep its
             # variable flexible while splitting later columns
             self._cover(fname, cols[1:], [r[1:] for r in rows], acc + ["_"],
                         gen | {x})
             return
         tyn = self.nf(ty)
-        colnames = {n for n, _ in cols} | gen
-
-        def catchall() -> bool:
-            return any(all(isinstance(p, (PatVar, PatInacc)) for p in r)
+        cases = split_cases(self.sig, self.nrm, tyn, {n for n, _ in cols} | gen)
+        if cases is None:
+            raise CoverageError(
+                f"def {fname}: cannot split on {print_term(tyn)}")
+        catchall = any(all(isinstance(p, (PatVar, PatInacc)) for p in r)
                        for r in rows)
-
-        split = self.sig.split_data_type(tyn)
-        if split is not None:
-            dinfo, us, vs = split
-            for c in dinfo.point_ctors():
-                slots, avail, row = self.sig.open_ctor(c, us, colnames)
-                res = unify_terms(self.sig, self.nrm, list(zip(vs, avail)),
-                                  row, colnames)
-                if isinstance(res, UnifyMismatch):
-                    continue
-                if isinstance(res, UnifyStuck):
-                    if catchall():
-                        continue
-                    raise CoverageError(
-                        f"def {fname}: cannot decide coverage for "
-                        f"{dinfo.decl.name}.{c.name}: unification stuck on "
-                        f"{print_term(res.blocker)}")
-                sub = res.subst
-                cols2 = [(n, subst_term(t, sub)) for n, t in
-                         [(b.name, b.type) for b in slots] + cols[1:]]
-                rows2 = []
-                for r in rows:
-                    p0 = r[0]
-                    if isinstance(p0, (PatVar, PatInacc)):
-                        rows2.append([PatVar("_")] * len(slots) + r[1:])
-                    elif isinstance(p0, PatCtor) and p0.name == c.name:
-                        rows2.append(list(p0.args) + r[1:])
-                self._cover(fname, cols2, rows2, acc + [c.name], set(gen))
-            return
-        if isinstance(tyn, IdType):
-            res = unify_terms(self.sig, self.nrm, [(tyn.lhs, tyn.rhs)],
-                              set(), colnames)
-            if isinstance(res, UnifyMismatch):
-                return  # no canonical inhabitant
+        for c, slots, value, res in cases:
+            if isinstance(res, UnifyMismatch) or (
+                    isinstance(res, UnifyStuck) and catchall):
+                continue
             if isinstance(res, UnifyStuck):
-                if catchall():
-                    return
+                what = (f"for {c.data}.{c.name}: unification" if c else
+                        "of an identity type")
                 raise CoverageError(
-                    f"def {fname}: cannot decide coverage of an identity "
-                    f"type stuck on {print_term(res.blocker)}")
-            sub = res.subst
-            cols2 = [(n, subst_term(t, sub)) for n, t in cols[1:]]
-            rows2 = [r[1:] for r in rows
-                     if isinstance(r[0], (PatVar, PatInacc, PatRefl))]
-            self._cover(fname, cols2, rows2, acc + ["refl"], set(gen))
-            return
-        raise CoverageError(
-            f"def {fname}: cannot split on {print_term(tyn)}")
+                    f"def {fname}: cannot decide coverage {what} stuck on "
+                    f"{print_term(res.blocker)}")
+            # the split variable becomes the case's value in later columns
+            sub = {**res.subst, x: subst_term(value, res.subst)}
+            cols2 = [(n, subst_term(t, sub)) for n, t in
+                     [(b.name, b.type) for b in slots] + cols[1:]]
+            rows2 = []
+            for r in rows:
+                p0 = r[0]
+                if isinstance(p0, (PatVar, PatInacc)):
+                    rows2.append([PatVar("_")] * len(slots) + r[1:])
+                elif c is None and isinstance(p0, PatRefl):
+                    rows2.append(r[1:])
+                elif isinstance(p0, PatCtor) and c and p0.name == c.name:
+                    rows2.append(list(p0.args) + r[1:])
+            self._cover(fname, cols2, rows2, acc + [c.name if c else "refl"],
+                        set(gen))
 
     def _some_column_empty(self, cols, gen: set[str]) -> bool:
         """A telescope with a visibly uninhabited column is covered
-        vacuously (every availability row clashes with the indices)."""
+        vacuously (every case of a split on it clashes)."""
         colnames = {n for n, _ in cols} | gen
         for _, ty in cols:
-            tyn = self.nf(ty)
-            split = self.sig.split_data_type(tyn)
-            if split is not None:
-                dinfo, us, vs = split
-                for c in dinfo.point_ctors():
-                    _, avail, row = self.sig.open_ctor(c, us, colnames)
-                    res = unify_terms(self.sig, self.nrm,
-                                      list(zip(vs, avail)), row, colnames)
-                    if not isinstance(res, UnifyMismatch):
-                        break
-                else:
-                    return True
-            elif isinstance(tyn, IdType):
-                res = unify_terms(self.sig, self.nrm,
-                                  [(tyn.lhs, tyn.rhs)], set(), colnames)
-                if isinstance(res, UnifyMismatch):
-                    return True
+            cases = split_cases(self.sig, self.nrm, self.nf(ty), colnames)
+            if cases is not None and all(isinstance(res, UnifyMismatch)
+                                         for *_, res in cases):
+                return True
         return False
 
     def _check_termination(self, f: FunDecl):
@@ -558,16 +552,16 @@ class _ClauseState:
     """Left-to-right pattern elaboration with rewriting.
 
     Unification solutions remove variables from the live context and are
-    pushed through everything recorded so far, including the right-hand
-    side substitution (the traditional "rewrite x as true" behaviour)."""
+    pushed through everything recorded so far; `resolved` then rewrites the
+    right-hand side (the traditional "rewrite x as true" behaviour). Every
+    variable the elaboration invents is '%'-prefixed, so it can never occur
+    in a term the user wrote."""
 
     def __init__(self, checker: Checker):
         self.ck = checker
         self.sig = checker.sig
         self.ctx: Ctx = {}
-        self.user_vars: set[str] = set()
         self.binder_map: dict[str, Term] = {}
-        self.rhs_sub: dict[str, Term] = {}
         self.resolved: dict[str, Term] = {}
         # inaccessible patterns check once the whole row has bound its
         # variables: (placeholder var, written term)
@@ -584,18 +578,13 @@ class _ClauseState:
         self.ctx = {k: subst_term(t, sub) for k, t in self.ctx.items()}
         self.binder_map = {k: subst_term(t, sub)
                            for k, t in self.binder_map.items()}
-        self.rhs_sub = {k: subst_term(t, sub)
-                        for k, t in self.rhs_sub.items()}
-        for k, t in sub.items():
-            if k in self.user_vars:
-                self.rhs_sub[k] = t
 
     def current(self, t: Term) -> Term:
         return subst_term(t, self.resolved)
 
     def resolve_inaccessible(self):
         for x, raw in self.inacc:
-            t = subst_term(raw, self.rhs_sub)
+            t = self.current(raw)
             if x in self.ctx:
                 self.ck.check(self.ctx, t, self.ctx[x])
                 self.apply({x: t})
@@ -626,11 +615,7 @@ class _ClauseState:
         match pat:
             case PatVar(x):
                 if x == "_":
-                    # '%'-prefixed names are internal-only: they can never
-                    # collide with parseable user names
                     x = fresh_name("%w", set(self.ctx))
-                else:
-                    self.user_vars.add(x)
                 self.ctx[x] = expected
                 return Var(x)
             case PatInacc(t):
@@ -671,7 +656,6 @@ class _ClauseState:
         named = {n for n in user if n}
         slots, avail, row = self.sig.open_ctor(cinfo, us, set(self.ctx) | named,
                                                user, "%")
-        self.user_vars |= named
         self.ctx.update((b.name, b.type) for b in slots)
         names = [b.name for b in slots]
         self._unify(list(zip(vs, avail)), row,

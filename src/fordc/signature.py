@@ -36,10 +36,7 @@ class DataInfo:
     ctors: dict[str, CtorInfo] = field(default_factory=dict)
 
     def former_type(self) -> Term:
-        ty: Term = Univ(0)
-        for b in reversed(self.params + self.indices):
-            ty = Pi(b.name, b.type, ty)
-        return ty
+        return telescope_pi(self.params + self.indices, Univ(0))
 
     def point_ctors(self) -> list[CtorInfo]:
         return [c for c in self.ctors.values() if not c.is_path]
@@ -58,10 +55,7 @@ class FunInfo:
         return len(self.binders)
 
     def type(self) -> Term:
-        ty = self.ret
-        for b in reversed(self.binders):
-            ty = Pi(b.name, b.type, ty)
-        return ty
+        return telescope_pi(self.binders, self.ret)
 
 
 @dataclass

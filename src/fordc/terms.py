@@ -186,7 +186,8 @@ def subst_term(t: Term, sub: dict[str, Term]) -> Term:
 
 
 def _under_binder(x: str, body: Term, sub: dict[str, Term]):
-    sub = {k: v for k, v in sub.items() if k != x and k in free_vars(body)}
+    fv = free_vars(body)
+    sub = {k: v for k, v in sub.items() if k != x and k in fv}
     if not sub:
         return x, body, sub
     hit = set()
@@ -194,7 +195,7 @@ def _under_binder(x: str, body: Term, sub: dict[str, Term]):
         hit |= free_vars(v)
     if x not in hit:
         return x, body, sub
-    avoid = set(hit) | set(free_vars(body)) | set(sub)
+    avoid = set(hit) | set(fv) | set(sub)
     x2 = fresh_name(x, avoid)
     return x2, subst_term(body, {x: Var(x2)}), sub
 

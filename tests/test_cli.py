@@ -261,3 +261,23 @@ def test_false_deep_arithmetic_prints_without_recursion_error(tmp_path,
     code, _, err = run(capsys, "check", str(mod))
     assert code == 1 and "E-TYPE" in err and "Traceback" not in err
     assert f"expected {numeral(900)}, got {numeral(901)}\n" in err
+
+
+def test_merge_bad_path_names_the_input(capsys):
+    code, out, err = run(capsys, "merge", cp("int-point.fda"), "--types",
+                         "Int", "--path", "bad")
+    assert code == 5 and out == ""
+    assert err.startswith(f"error[E-MERGE-BLOCK] {cp('int-point.fda')}: "
+                          "--path expects name:Member:Member, got 'bad'")
+
+
+def test_corpus_drops_empty_type_names_like_the_cli(tmp_path, capsys):
+    mf = tmp_path / "manifest.txt"
+    mf.write_text(f"merge {cp('d1d2.fda')} {cp('d1d2.merged.golden.fda')} "
+                  "D1,,D2\n"
+                  f"merge-error {cp('vec.fda')} Vec,\n")
+    code, out, _ = run(capsys, "corpus", str(mf))
+    assert code == 0 and out.endswith("2 passed, 0 failed\n")
+    code, out, _ = run(capsys, "merge", cp("d1d2.fda"), "--types", "D1,,D2")
+    assert code == 0
+    assert out == (CORPUS / "d1d2.merged.golden.fda").read_text()

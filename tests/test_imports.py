@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "fordc"
-MODULES = sorted(p.stem for p in PKG.glob("*.py")
-                 if p.stem not in ("__init__", "__main__"))
+MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__init__")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -2,12 +2,12 @@ import pytest
 
 from fordc import (Checker, CoverageError, PatVar, StepBudgetExceeded,
                    TypeCheckError, UnifyMismatch, UnifyStuck, UnifySuccess,
-                   check_module, convertible, normalize, parse,
-                   parse_term_text, prelude_signature, print_term,
+                   canonical_values, check_module, convertible, normalize,
+                   parse, parse_term_text, prelude_signature, print_term,
                    unify_terms)
 from fordc.normalize import Normalizer
-from fordc.terms import (App, AxiomRef, CtorRef, DataRef, JElim, Lam, Var,
-                         alpha_eq, data_refs, mk_app)
+from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, JElim, Lam,
+                         Var, alpha_eq, data_refs, mk_app)
 from conftest import PLUS_MULT, corpus_text, load, load_checked, mult_term
 
 
@@ -418,3 +418,73 @@ def test_subject_reduction_on_corpus_bodies():
                 continue
             ck.check(ctx, body, f.ret)
             ck.check(ctx, normalize(sig, body), f.ret)
+
+
+# -- coverage: one split for constructors and refl -----------------------------
+
+NAT = """
+data Nat
+  | zero
+  | suc (n : Nat)
+"""
+
+LEN = corpus_text("vec.fda") + """
+def len (A : Type0) (n : Nat) (v : Vec A n) : Nat
+  | A zero nil => zero
+"""
+
+
+def coverage_message(src: str) -> str:
+    with pytest.raises(CoverageError) as ei:
+        check_module(parse(src))
+    return ei.value.message
+
+
+def test_coverage_instantiates_the_split_variable():
+    # splitting n to zero makes the later column `Vec A zero`, so only nil
+    # is left to cover there
+    check_module(parse(LEN + "  | A (suc m) (cons m1 x xs) => suc (len A m xs)\n"))
+    check_module(parse(NAT + """
+data Bool
+  | true
+  | false
+
+def f (x : Bool) (p : Id Bool x true) : Nat
+  | true refl => zero
+"""))
+
+
+def test_coverage_reports_the_case_left_after_instantiation():
+    assert coverage_message(LEN) == "def len: missing canonical case: _ suc _ _"
+
+
+def test_coverage_stuck_on_an_axiom_index_names_the_constructor():
+    assert coverage_message(NAT + """
+data D : (n : Nat)
+  | a [k]
+  | b [zero]
+
+axiom c : Nat
+
+def f (v : D c) : Nat
+  | (a k) => zero
+""") == "def f: cannot decide coverage for D.b: unification stuck on c"
+
+
+def test_uninhabited_columns_are_covered_vacuously():
+    check_module(parse(NAT + """
+data D : (n : Nat)
+  | b [zero]
+
+def f (v : D (suc zero)) : Nat
+
+def g (p : Id Nat zero (suc zero)) : Nat
+"""))
+    assert coverage_message(NAT + "\ndef h (p : Id Nat zero zero) : Nat\n"
+                            ) == "def h: missing canonical case: _"
+
+
+def test_canonical_values_of_identity_types():
+    sig = check_module(parse(NAT))
+    assert canonical_values(sig, pt(sig, "Id Nat zero zero"), 2) == [REFL]
+    assert canonical_values(sig, pt(sig, "Id Nat zero (suc zero)"), 2) == []
