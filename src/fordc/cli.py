@@ -1,8 +1,8 @@
 """Command-line front door: check, ford, merge, and the corpus harness.
 
 Exit codes: 0 success, 1 type error, 2 parse/scope error, 3 I/O error,
-4 ford transform rejected, 5 merge block rejected. Output files are
-written atomically (write-then-rename) or not at all.
+4 ford transform rejected, 5 merge block rejected, 6 internal error.
+Output files are written atomically (write-then-rename) or not at all.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 
+from .decls import Declaration, SourceModule
 from .diagnostics import (Diagnostic, FordcError, ParseError,
                           TransformError)
 from .ford import ford_module
@@ -28,12 +29,21 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_FORD = 4
 EXIT_MERGE = 5
+EXIT_INTERNAL = 6
 
 
 class _Failure(Exception):
     def __init__(self, exit_code: int, diag: Diagnostic):
         self.exit_code = exit_code
         self.diag = diag
+
+
+def _internal(e: Exception, path: str | None) -> _Failure:
+    """An exception no layer turned into a diagnostic: a defect in fordc,
+    not a judgement on the input, so it must not read as exit 1."""
+    return _Failure(EXIT_INTERNAL, Diagnostic(
+        "error", "E-INTERNAL", f"internal error: {type(e).__name__}: {e}",
+        path))
 
 
 def _emit(diag: Diagnostic, json_mode: bool):
@@ -85,7 +95,8 @@ def cmd_check(args) -> int:
         try:
             _load_checked(path, args.step_budget)
             print(f"checked {path}")
-        except _Failure as f:
+        except Exception as e:
+            f = e if isinstance(e, _Failure) else _internal(e, path)
             _emit(f.diag, args.json)
             if status == EXIT_OK:
                 status = f.exit_code
@@ -93,13 +104,31 @@ def cmd_check(args) -> int:
 
 
 def _transformed(path: str, budget: int, transform):
-    """Load and check `path`, apply `transform(module, sig)` and re-check
-    its output module. A load failure raises `_Failure`; a failure of the
-    transform or of the re-check raises its `FordcError`."""
+    """Load and check `path`, apply `transform(module, sig)` and check its
+    output module. The output's first `k` declarations equal the input's,
+    so they would check to the input's signature as it stood before its
+    declaration `k`; only the rest is re-checked, on top of that. A load
+    failure raises `_Failure`; a failure of the transform or of the
+    re-check raises its `FordcError`."""
     module, sig = _load_checked(path, budget)
     out, plan = transform(module, sig)
-    check_module(out, budget)
+    k = _shared_prefix(module.decls, out.decls)
+    check_module(SourceModule(out.decls[k:]), budget,
+                 sig.rewind(module.decls[k:]))
     return out, plan
+
+
+def _shared_prefix(a: tuple[Declaration, ...],
+                   b: tuple[Declaration, ...]) -> int:
+    """The number of leading declarations `a` and `b` share; `==` ignores
+    source locations."""
+    k = 0
+    try:
+        while k < min(len(a), len(b)) and a[k] == b[k]:
+            k += 1
+    except RecursionError:  # too deep for `==`: re-check from here
+        pass
+    return k
 
 
 def _ford(args, module, sig):
@@ -258,11 +287,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("--step-budget", type=int, default=None,
                         help="normalization step budget "
                              "(default 100000, env FORDC_STEP_BUDGET)")
+        sp.add_argument("--json", action="store_true",
+                        help="diagnostics as JSON lines on stderr")
 
     sp = sub.add_parser("check", help="type-check modules")
     sp.add_argument("paths", nargs="+")
-    sp.add_argument("--json", action="store_true",
-                    help="diagnostics as JSON lines on stderr")
     common(sp)
     sp.set_defaults(fn=cmd_check)
 
@@ -272,8 +301,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suffix", default="F")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_transform, transform=_ford, exit_code=EXIT_FORD,
-                    json=False)
+    sp.set_defaults(fn=cmd_transform, transform=_ford, exit_code=EXIT_FORD)
 
     sp = sub.add_parser("merge", help="merge datatypes into one family")
     sp.add_argument("path")
@@ -283,13 +311,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="add an axiomatic identity between two tags")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_transform, transform=_merge, exit_code=EXIT_MERGE,
-                    json=False)
+    sp.set_defaults(fn=cmd_transform, transform=_merge, exit_code=EXIT_MERGE)
 
     sp = sub.add_parser("corpus", help="run a corpus manifest")
     sp.add_argument("manifest")
     common(sp)
-    sp.set_defaults(fn=cmd_corpus, json=False)
+    sp.set_defaults(fn=cmd_corpus)
     return ap
 
 
@@ -316,8 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     args.step_budget = _step_budget(ap, args)
     try:
         return args.fn(args)
-    except _Failure as f:
-        _emit(f.diag, getattr(args, "json", False))
+    except Exception as e:
+        f = e if isinstance(e, _Failure) else _internal(
+            e, getattr(args, "path", None) or getattr(args, "manifest", None))
+        _emit(f.diag, args.json)
         return f.exit_code
 
 

@@ -26,6 +26,7 @@ CODES = {
     "E-FORD-NO-INDICES": "ford target has no indices",
     "E-MERGE-BLOCK": "merge block violates the plain-datatype restriction",
     "E-IO": "file could not be read or written",
+    "E-INTERNAL": "fordc failed on a defect of its own, not on the input",
 }
 
 

@@ -223,7 +223,9 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
     """Extend a checked module with the forded family and converters.
 
     The result is printed and re-parsed so qualification is resolved the
-    way any reader of the output would see it; the caller re-checks it."""
+    way any reader of the output would see it. Its first declarations are
+    the input's, so the caller re-checks only the three appended ones, on
+    top of the input's signature."""
     d = m.find_data(name)
     if d is None:
         raise TransformError(f"no datatype named {name!r} in the module",

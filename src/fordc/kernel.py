@@ -721,11 +721,12 @@ def prelude_signature() -> Signature:
     return _PRELUDE
 
 
-def check_module(m: SourceModule,
-                 step_budget: int = DEFAULT_STEP_BUDGET) -> Signature:
-    """Check a parsed module on top of the prelude; returns the extended
-    signature or raises a TypeCheckError subclass."""
-    sig = prelude_signature().copy()
+def check_module(m: SourceModule, step_budget: int = DEFAULT_STEP_BUDGET,
+                 base: Signature | None = None) -> Signature:
+    """Check a parsed module on top of `base`, by default the prelude, and
+    leave `base` unchanged; returns the extended signature or raises a
+    TypeCheckError subclass."""
+    sig = (prelude_signature() if base is None else base).copy()
     Checker(sig, step_budget).check_module(m)
     return sig
 

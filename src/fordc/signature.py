@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .decls import Binder, Clause, DataDecl, Pattern, Telescope
+from .decls import (Binder, Clause, DataDecl, Declaration, MutualBlock,
+                    Pattern, Telescope)
 from .parser import NameEnv
 from .terms import (DataRef, Pi, Term, Univ, Var, fresh_name, mk_app, spine,
                     subst_term)
@@ -93,6 +94,20 @@ class Signature:
     def add_axiom(self, info: AxiomInfo):
         self.axioms[info.name] = info
         self.names.add(info.name)
+
+    def rewind(self, decls: Sequence[Declaration]) -> "Signature":
+        """A new signature without what `decls`, the last declarations
+        checked into this one, declared: the signature as it stood before
+        them. Constructor names repeat across datatypes, so `names` is
+        rebuilt from what is kept rather than subtracted."""
+        gone = {d.name for decl in decls for d in
+                (decl.decls if isinstance(decl, MutualBlock) else (decl,))}
+        datas = {n: d for n, d in self.datas.items() if n not in gone}
+        funs = {n: f for n, f in self.funs.items() if n not in gone}
+        axioms = {n: a for n, a in self.axioms.items() if n not in gone}
+        names = {*datas, *funs, *axioms}
+        names.update(c for d in datas.values() for c in d.ctors)
+        return Signature(datas, funs, axioms, names)
 
     def has_name(self, name: str) -> bool:
         return name in self.names

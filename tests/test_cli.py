@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
+from fordc import (AxiomDecl, Checker, Diagnostic, FunDecl, SourceModule,
+                   parse)
+from fordc import cli
 from fordc.cli import main
-from conftest import CORPUS, arith_theorem, numeral
+from fordc.terms import App, CtorRef, DataRef, Var
+from conftest import CORPUS, arith_theorem, corpus_text, load, numeral
 
 
 def run(capsys, *argv):
@@ -281,3 +285,146 @@ def test_corpus_drops_empty_type_names_like_the_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "merge", cp("d1d2.fda"), "--types", "D1,,D2")
     assert code == 0
     assert out == (CORPUS / "d1d2.merged.golden.fda").read_text()
+
+
+# -- the output re-check: only from the first changed declaration --------------
+
+def fake_ford(monkeypatch, out: SourceModule):
+    """Make `fordc ford` emit `out`; no report is needed, as each use fails."""
+    monkeypatch.setattr(cli, "ford_module", lambda m, sig, *a: (out, None))
+
+
+def rechecked(monkeypatch) -> list[list[str]]:
+    """Record the declaration names each `Checker.check_module` call gets."""
+    calls = []
+    orig = Checker.check_module
+
+    def spy(self, m):
+        calls.append([getattr(d, "name", "mutual") for d in m.decls])
+        return orig(self, m)
+    monkeypatch.setattr(Checker, "check_module", spy)
+    return calls
+
+
+def test_transform_appending_an_ill_typed_decl_is_rejected(monkeypatch,
+                                                           capsys):
+    fake_ford(monkeypatch, parse(corpus_text("vec.fda")
+                                 + "\ndef bad : Nat => refl\n"))
+    code, out, err = run(capsys, "ford", cp("vec.fda"), "--data", "Vec")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error[E-TYPE] {cp('vec.fda')}:")
+
+
+def test_transform_altering_a_shared_decl_is_rechecked_from_it(monkeypatch,
+                                                               capsys):
+    text = corpus_text("vec.forded.golden.fda")
+    bad = text.replace("VecF.nil A zero refl", "VecF.nil A (suc zero) refl")
+    assert bad != text
+    fake_ford(monkeypatch, parse(bad))
+    calls = rechecked(monkeypatch)
+    code, _, err = run(capsys, "ford", cp("vec.forded.golden.fda"),
+                       "--data", "Vec")
+    assert code == 1 and "E-TYPE" in err
+    assert calls[-1] == ["toVecF", "fromVecF"]
+
+
+def test_transform_reusing_a_shared_ctor_name_still_clashes(monkeypatch,
+                                                            capsys):
+    # Vec and VecF both have `nil`: dropping VecF keeps Vec's `nil` taken
+    nil = FunDecl("nil", (), DataRef("Nat"), body=CtorRef("Nat", "zero"))
+    fake_ford(monkeypatch, SourceModule(load("vec.fda").decls + (nil,)))
+    code, _, err = run(capsys, "ford", cp("vec.forded.golden.fda"),
+                       "--data", "Vec")
+    assert code == 1 and "E-NAME-CLASH" in err and "'nil'" in err
+
+
+MERGE_BETWEEN = """\
+data Bool
+  | true
+  | false
+
+mutual
+data D1
+  | one
+  | wrap (d : D2)
+data D2
+  | two (a : D1) (b : D2)
+end
+
+def id1 (d : D1) : D1 => d
+"""
+
+
+@pytest.mark.parametrize("source, argv, expected", [
+    (corpus_text("vec.fda"), ["ford", "--data", "Vec"],
+     ["VecF", "toVecF", "fromVecF"]),
+    (corpus_text("d1d2.fda"), ["merge", "--types", "D1,D2"],
+     ["U", "T", "D1", "D2"]),
+    (MERGE_BETWEEN, ["merge", "--types", "D1,D2"],
+     ["U", "T", "D1", "D2", "id1"]),
+], ids=["ford-vec", "merge-d1d2", "merge-between"])
+def test_transform_rechecks_only_the_changed_declarations(
+        tmp_path, monkeypatch, capsys, source, argv, expected):
+    path = tmp_path / "in.fda"
+    path.write_text(source)
+    calls = rechecked(monkeypatch)
+    code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert len(calls) == 2 and calls[1] == expected
+
+
+def test_shared_prefix_stops_at_declarations_too_deep_to_compare():
+    def deep():
+        t = Var("x")
+        for _ in range(5000):
+            t = App(Var("f"), t)
+        return (AxiomDecl("a", t),)
+    shallow = (AxiomDecl("b", Var("x")),)
+    assert cli._shared_prefix(shallow + deep(), shallow + deep()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ford", cp("vec.fda"), "--data", "Nope"],
+    ["merge", cp("vec.fda"), "--types", "Vec"],
+    ["corpus", "no-such-manifest.txt"],
+], ids=["ford", "merge", "corpus"])
+def test_json_diagnostics_on_every_subcommand(capsys, argv):
+    code, _, text_err = run(capsys, *argv)
+    json_code, _, json_err = run(capsys, *argv, "--json")
+    assert code == json_code != 0
+    [line] = json_err.splitlines()
+    rec = json.loads(line)
+    diag = Diagnostic(rec["severity"], rec["code"], rec["message"],
+                      rec["file"], rec["line"], rec["col"])
+    assert diag.text() + "\n" == text_err
+
+
+GROW = """
+data Nat
+  | zero
+  | suc (n : Nat)
+
+partial def grow (n : Nat) : Nat
+  | n => suc (grow n)
+
+def t : Id Nat (grow zero) zero
+  => refl
+"""
+
+NESTED_LAMBDAS = ("def f : Type0 -> Type0 => " + "(\\x => " * 600 + "x"
+                  + ")" * 600 + "\n")
+
+
+@pytest.mark.parametrize("source", [GROW, NESTED_LAMBDAS],
+                         ids=["grow", "nested-lambdas"])
+@pytest.mark.parametrize("argv", [["check"], ["ford", "--data", "Nat"]],
+                         ids=["check", "ford"])
+def test_internal_error_has_its_own_exit_code(tmp_path, capsys, source,
+                                              argv):
+    mod = tmp_path / "deep.fda"
+    mod.write_text(source)
+    code, out, err = run(capsys, argv[0], str(mod), *argv[1:])
+    assert code == cli.EXIT_INTERNAL == 6 and out == ""
+    assert err.startswith(f"error[E-INTERNAL] {mod}: internal error: "
+                          "RecursionError: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1

@@ -1,14 +1,15 @@
 import pytest
 
-from fordc import (Checker, CoverageError, PatVar, StepBudgetExceeded,
-                   TypeCheckError, UnifyMismatch, UnifyStuck, UnifySuccess,
-                   canonical_values, check_module, convertible, normalize,
-                   parse, parse_term_text, prelude_signature, print_term,
-                   unify_terms)
+from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
+                   StepBudgetExceeded, TypeCheckError, UnifyMismatch,
+                   UnifyStuck, UnifySuccess, canonical_values, check_module,
+                   convertible, normalize, parse, parse_term_text,
+                   prelude_signature, print_term, unify_terms)
 from fordc.normalize import Normalizer
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, JElim, Lam,
                          Var, alpha_eq, data_refs, mk_app)
-from conftest import PLUS_MULT, corpus_text, load, load_checked, mult_term
+from conftest import (CORPUS, PLUS_MULT, corpus_text, load, load_checked,
+                      mult_term)
 
 
 def pt(sig, s, **kw):
@@ -39,6 +40,40 @@ def test_prelude_names_unchanged_by_checking():
     assert {"Vec", "cons"} <= sig.all_names()
     assert prelude_signature().all_names() == before
     assert not prelude_signature().has_name("cons")
+
+
+def _checks(path) -> bool:
+    try:
+        check_module(parse(path.read_text(encoding="utf-8")))
+    except FordcError:
+        return False
+    return True
+
+
+CHECKED_CORPUS = [p.name for p in sorted(CORPUS.glob("*.fda")) if _checks(p)]
+
+
+def _shape(sig):
+    return ([*sig.datas], [*sig.funs], [*sig.axioms],
+            {n: [*d.ctors] for n, d in sig.datas.items()}, sig.all_names())
+
+
+@pytest.mark.parametrize("name", CHECKED_CORPUS)
+def test_rewind_gives_the_signature_of_the_prefix(name):
+    m = load(name)
+    full = check_module(m)
+    for k in range(len(m.decls) + 1):
+        assert (_shape(full.rewind(m.decls[k:]))
+                == _shape(check_module(SourceModule(m.decls[:k])))), k
+
+
+def test_check_module_extends_a_given_base_and_leaves_it_unchanged():
+    m = load("vec.forded.golden.fda")
+    base = check_module(SourceModule(m.decls[:2]))
+    before = _shape(base)
+    sig = check_module(SourceModule(m.decls[2:]), base=base)
+    assert _shape(base) == before
+    assert _shape(sig) == _shape(check_module(m))
 
 
 def test_availability_arity_violation():
