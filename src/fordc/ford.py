@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
                     PatRefl, PatVar, SourceModule)
 from .diagnostics import TransformError
-from .kernel import Checker, prelude_signature
+from .kernel import prelude_signature
 from .parser import is_ident, parse
 from .printer import print_module, print_term
 from .signature import Signature, telescope_vars
@@ -149,7 +149,7 @@ def _convert_arg(sig: Signature, plan: FordPlan, ty: Term, var: Term,
 def gen_converters(plan: FordPlan, sig: Signature
                    ) -> tuple[FunDecl, FunDecl]:
     """Generate the two conversion functions between a datatype in the
-    signature and its forded counterpart (also in the signature)."""
+    signature and its forded counterpart, which only `plan` names."""
     d = sig.datas[plan.target]
     params, indices = d.params, d.indices
     binder_names = {b.name for b in params} | {b.name for b in indices}
@@ -165,8 +165,9 @@ def gen_converters(plan: FordPlan, sig: Signature
     from_clauses = []
     for cf in plan.per_ctor:
         ci = sig.datas[plan.target].ctors[cf.name]
-        taken = binder_names | {scrut}
-        slots, avail, _ = sig.open_ctor(ci, telescope_vars(params), taken)
+        # `sig` lacks the forded family: no variable may take its name
+        taken = binder_names | {scrut, plan.forded}
+        slots, avail, _ = sig.ctor_slots(ci, telescope_vars(params), taken)
         local = {b.name: s.name for b, s in zip(ci.patvars + ci.args, slots)}
         ren = {k: Var(v) for k, v in local.items()}
         taken |= {s.name for s in slots}
@@ -236,9 +237,7 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
                 f"{name} belongs to a mutual block; fording mutual members "
                 "is not supported", code="E-FORD-TARGET")
     forded, plan = ford_data(d, sig, suffix)
-    sig2 = sig.copy()
-    Checker(sig2).check_data(forded)
-    to_fun, from_fun = gen_converters(plan, sig2)
+    to_fun, from_fun = gen_converters(plan, sig)
     out = SourceModule(m.decls + (forded, to_fun, from_fun))
     reparsed = parse(print_module(out), prelude_signature().name_env())
     return reparsed, plan

@@ -11,7 +11,7 @@ unification problem is reported as E-UNIFY-STUCK rather than guessed at.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     PatCtor, PatInacc, PatRefl, Pattern, PatVar, SourceModule,
@@ -53,7 +53,7 @@ def _cases(sig, nrm, tyn, split, taken) -> Iterator[Case]:
         return
     dinfo, us, vs = split
     for c in dinfo.point_ctors():
-        slots, avail, row = sig.open_ctor(c, us, taken)
+        slots, avail, row = sig.ctor_slots(c, us, taken)
         value = mk_app(CtorRef(c.data, c.name), *us, *telescope_vars(slots))
         yield c, slots, value, unify_terms(sig, nrm, list(zip(vs, avail)),
                                            row, taken)
@@ -305,7 +305,7 @@ class Checker:
                         f"the indexed datatype {dn} are not supported",
                         loc=c.loc)
                 cinfo = dinfo.ctors[cn]
-                slots, _ = self.sig.ctor_slots(cinfo, us)
+                slots, _, _ = self.sig.ctor_slots(cinfo, us, pctx)
                 if len(subs) != len(slots):
                     raise TypeCheckError(
                         f"constructor {c.name}: pattern {cn} takes "
@@ -314,10 +314,12 @@ class Checker:
                 ssub: dict[str, Term] = {}
                 sub_terms: list[Term] = []
                 sub_pats: list[Pattern] = []
-                for slot, sp in zip(slots, subs):
+                # a `_` is named after the declared slot, not the opened one
+                for own, slot, sp in zip(cinfo.patvars + cinfo.args, slots,
+                                         subs):
                     sty = self.nf(subst_term(slot.type, ssub))
                     t, p2 = self._elab_avail_pat(sp, sty, patvars, pctx,
-                                                 slot.name, c)
+                                                 own.name, c)
                     ssub[slot.name] = t
                     sub_terms.append(t)
                     sub_pats.append(p2)
@@ -400,11 +402,12 @@ class Checker:
     def check_module(self, m: SourceModule):
         for decl in m.decls:
             try:
-                name = getattr(decl, "name", None)
-                if name is not None and self.sig.has_name(name):
-                    raise TypeCheckError(
-                        f"declaration {name!r} collides with an existing name",
-                        code="E-NAME-CLASH")
+                for d in (decl.decls if isinstance(decl, MutualBlock)
+                          else (decl,)):
+                    if self.sig.has_name(d.name):
+                        raise TypeCheckError(
+                            f"declaration {d.name!r} collides with an "
+                            "existing name", code="E-NAME-CLASH")
                 if isinstance(decl, DataDecl):
                     self.check_data(decl)
                 elif isinstance(decl, FunDecl):
@@ -595,17 +598,17 @@ class _ClauseState:
                         f"inaccessible pattern {print_term(t)} is not the "
                         f"forced value {print_term(forced)}")
 
-    def _unify(self, pairs, flex_row: set[str], what: str):
+    def _unify(self, pairs, flex_row: set[str], what: Callable[[], str]):
         res = unify_terms(self.sig, self.ck.nrm, pairs, flex_row,
                           set(self.ctx))
         if isinstance(res, UnifyStuck):
             raise TypeCheckError(
-                f"{what}: unification stuck on neutral term "
+                f"{what()}: unification stuck on neutral term "
                 f"{print_term(res.blocker)}", code="E-UNIFY-STUCK",
                 evidence={"blocker": print_term(res.blocker)})
         if isinstance(res, UnifyMismatch):
             raise TypeCheckError(
-                f"{what}: constructor clash between {print_term(res.lhs)} "
+                f"{what()}: constructor clash between {print_term(res.lhs)} "
                 f"and {print_term(res.rhs)}", code="E-UNIFY-CLASH",
                 evidence={"lhs": print_term(res.lhs),
                           "rhs": print_term(res.rhs)})
@@ -629,7 +632,8 @@ class _ClauseState:
                     raise TypeCheckError(
                         f"refl pattern against non-identity type "
                         f"{print_term(tyn)}")
-                self._unify([(tyn.lhs, tyn.rhs)], set(), "matching refl")
+                self._unify([(tyn.lhs, tyn.rhs)], set(),
+                            lambda: "matching refl")
                 return REFL
             case PatCtor(dn, cn, subs):
                 return self._elab_ctor(dn, cn, subs, expected)
@@ -653,13 +657,12 @@ class _ClauseState:
         # elsewhere
         user = [sp.name if isinstance(sp, PatVar) and sp.name != "_" else None
                 for sp in subs]
-        named = {n for n in user if n}
-        slots, avail, row = self.sig.open_ctor(cinfo, us, set(self.ctx) | named,
-                                               user, "%")
+        slots, avail, row = self.sig.ctor_slots(cinfo, us, self.ctx, user,
+                                                "%")
         self.ctx.update((b.name, b.type) for b in slots)
         names = [b.name for b in slots]
         self._unify(list(zip(vs, avail)), row,
-                    f"splitting {print_term(tyn)} with {cn}")
+                    lambda: f"splitting {print_term(tyn)} with {cn}")
         values: list[Term] = []
         for name, sp in zip(names, subs):
             if name in self.ctx:

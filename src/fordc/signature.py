@@ -7,14 +7,14 @@ declaration order, and afterwards it is only read.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .decls import (Binder, Clause, DataDecl, Declaration, MutualBlock,
                     Pattern, Telescope)
 from .parser import NameEnv
-from .terms import (DataRef, Pi, Term, Univ, Var, fresh_name, mk_app, spine,
-                    subst_term)
+from .terms import (DataRef, Pi, Term, Univ, Var, free_vars, fresh_name,
+                    mk_app, spine, subst_term)
 
 
 @dataclass
@@ -130,37 +130,31 @@ class Signature:
             return None
         return info, args[:n_params], args[n_params:]
 
-    def ctor_slots(self, c: CtorInfo, params: list[Term]
-                   ) -> tuple[list[Binder], list[Term]]:
-        """Constructor slot telescope (patvars then args) and availability
-        row terms, with the datatype parameters instantiated."""
-        info = self.datas[c.data]
-        sub = {b.name: v for b, v in zip(info.params, params)}
-        slots = [Binder(b.name, subst_term(b.type, sub))
-                 for b in c.patvars + c.args]
-        avail = [subst_term(t, sub) for t in c.avail_terms]
-        return slots, avail
-
-    def open_ctor(self, c: CtorInfo, params: list[Term], taken: set[str],
-                  fixed: Sequence[str | None] = (), prefix: str = ""
-                  ) -> tuple[list[Binder], list[Term], set[str]]:
-        """Instantiate a constructor at `params` and rename its slots in
-        order. Slot i becomes `fixed[i]` when the caller fixes it, else the
-        first variant of `prefix + name` outside `taken`, the global names
-        and the names picked so far. Returns the renamed slot telescope, the
-        availability row over the new names and the new row variables."""
-        slots, avail = self.ctor_slots(c, params)
-        taken, globals_ = set(taken), self.all_names()
-        ren: dict[str, Term] = {}
-        out: list[Binder] = []
-        for i, s in enumerate(slots):
-            name = (fixed[i] if i < len(fixed) and fixed[i] else
-                    fresh_name(prefix + s.name.lstrip(prefix), taken, globals_))
-            taken.add(name)
-            out.append(Binder(name, subst_term(s.type, ren)))
-            ren[s.name] = Var(name)
-        return (out, [subst_term(a, ren) for a in avail],
-                {b.name for b in out[:len(c.patvars)]})
+    def ctor_slots(self, c: CtorInfo, params: list[Term],
+                   taken: Iterable[str], fixed: Sequence[str | None] = (),
+                   prefix: str = ""
+                   ) -> tuple[list[Binder], list[Term], set[str]]:
+        """Open a constructor at `params`: its slots (row variables, then
+        arguments) under new names, in order. Slot i becomes `fixed[i]`
+        when the caller fixes it, else the first variant of `prefix + name`
+        outside `taken`, the fixed names, the global names, the free
+        variables of `params` and the names picked so far. Each slot type,
+        and then the row, takes one simultaneous substitution of the
+        parameters and the earlier slots, so no caller variable is
+        captured. Returns the slot telescope, the availability row over the
+        new names and the new row variables."""
+        sub = {b.name: v for b, v in zip(self.datas[c.data].params, params)}
+        avoid = set(taken).union(filter(None, fixed), *map(free_vars, params))
+        globals_ = self.all_names()
+        slots: list[Binder] = []
+        for i, b in enumerate(c.patvars + c.args):
+            name = (fixed[i] if i < len(fixed) and fixed[i] else fresh_name(
+                prefix + b.name.lstrip(prefix), avoid, globals_))
+            avoid.add(name)
+            slots.append(Binder(name, subst_term(b.type, sub)))
+            sub[b.name] = Var(name)
+        return (slots, [subst_term(t, sub) for t in c.avail_terms],
+                {b.name for b in slots[:len(c.patvars)]})
 
     def data_applied(self, name: str, params: list[Term],
                      indices: list[Term]) -> Term:

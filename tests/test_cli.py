@@ -373,6 +373,18 @@ def test_transform_rechecks_only_the_changed_declarations(
     assert len(calls) == 2 and calls[1] == expected
 
 
+def test_ford_leaves_the_forded_family_to_the_recheck(monkeypatch, capsys):
+    checked = []
+    orig = Checker.check_data
+
+    def spy(self, d, group=None):
+        checked.append(d.name)
+        return orig(self, d, group)
+    monkeypatch.setattr(Checker, "check_data", spy)
+    code, _, _ = run(capsys, "ford", cp("vec.fda"), "--data", "Vec")
+    assert code == 0 and checked == ["Nat", "Vec", "VecF"]
+
+
 def test_shared_prefix_stops_at_declarations_too_deep_to_compare():
     def deep():
         t = Var("x")

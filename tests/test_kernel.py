@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
@@ -9,7 +11,7 @@ from fordc.normalize import Normalizer
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, JElim, Lam,
                          Var, alpha_eq, data_refs, mk_app)
 from conftest import (CORPUS, PLUS_MULT, corpus_text, load, load_checked,
-                      mult_term)
+                      mult_term, rename_locals)
 
 
 def pt(sig, s, **kw):
@@ -65,6 +67,14 @@ def test_rewind_gives_the_signature_of_the_prefix(name):
     for k in range(len(m.decls) + 1):
         assert (_shape(full.rewind(m.decls[k:]))
                 == _shape(check_module(SourceModule(m.decls[:k])))), k
+
+
+def test_mutual_members_are_clash_checked():
+    a = parse("data Nat\n  | zero\n  | suc (n : Nat)\n")
+    b = parse("mutual\ndata Nat\n  | z2\nend\n")
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(SourceModule(a.decls + b.decls))
+    assert ei.value.code == "E-NAME-CLASH" and "'Nat'" in ei.value.message
 
 
 def test_check_module_extends_a_given_base_and_leaves_it_unchanged():
@@ -523,3 +533,67 @@ def test_canonical_values_of_identity_types():
     sig = check_module(parse(NAT))
     assert canonical_values(sig, pt(sig, "Id Nat zero zero"), 2) == [REFL]
     assert canonical_values(sig, pt(sig, "Id Nat zero (suc zero)"), 2) == []
+
+
+# -- opening a constructor: caller variables named like its slots ------------
+
+P_MODULE = """
+data P (A : Type0) : (n : Type0)
+  | mk [n] (x : A)
+
+def coerce (n : Type0) (T : Type0) (v : P n T) : T
+  | n T (mk k x) => x
+"""
+
+
+def test_a_caller_variable_named_like_a_slot_is_not_captured():
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(parse(P_MODULE))
+    assert ei.value.code == "E-TYPE"
+    assert ei.value.message == "type mismatch: expected T, got n"
+
+
+def test_a_parameter_named_like_a_row_variable_is_not_captured():
+    check_module(parse(NAT + """
+data Vec (A : Type0) : (n : Nat)
+  | nil [zero]
+  | cons [suc n] (x : A) (xs : Vec A n)
+
+def head (n : Type0) (m : Nat) (v : Vec n (suc m)) : n
+  | n m (cons k x xs) => x
+"""))
+
+
+def test_an_availability_pattern_named_like_a_slot_is_not_captured():
+    check_module(parse("""
+data List (A : Type0)
+  | nil
+  | cons (x : A) (xs : List A)
+
+data D (x : Type0) : (l : List x)
+  | c [cons y ys] (w : List x) (e : Id (List x) w ys)
+"""))
+
+
+def _verdict(m) -> str:
+    try:
+        check_module(m)
+    except FordcError as e:
+        return e.code
+    return "ok"
+
+
+def test_checking_is_invariant_under_renaming_locals():
+    # renaming onto slot-like names makes variables meet constructor slots
+    # of other declarations; fresh names meet nothing
+    rng = random.Random(7)
+    mods = []
+    for p in sorted(CORPUS.glob("*.fda")):
+        try:
+            mods.append((p.name, parse(p.read_text(encoding="utf-8"))))
+        except FordcError:
+            pass
+    for name, m in mods:
+        fresh = _verdict(rename_locals(m, rng, pool=()))
+        for _ in range(20):
+            assert _verdict(rename_locals(m, rng)) == fresh, name
