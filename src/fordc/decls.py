@@ -7,14 +7,13 @@ compares equal structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .node import node
 from .terms import Term
 
 Loc = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@node
 class Binder:
     name: str
     type: Term
@@ -23,60 +22,60 @@ class Binder:
 Telescope = tuple[Binder, ...]
 
 
-@dataclass(frozen=True)
+@node
 class Pattern:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class PatVar(Pattern):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class PatCtor(Pattern):
     data: str
     name: str
     args: tuple[Pattern, ...] = ()
 
 
-@dataclass(frozen=True)
+@node
 class PatRefl(Pattern):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class PatInacc(Pattern):
     term: Term
 
 
-@dataclass(frozen=True)
+@node
 class CtorDecl:
     name: str
     availability: tuple[Pattern, ...] = ()
     args: Telescope = ()
     is_path: bool = False
     path_type: Term | None = None  # full declared type when is_path
-    loc: Loc | None = field(default=None, compare=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
+@node
 class DataDecl:
     name: str
     params: Telescope = ()
     indices: Telescope = ()
     ctors: tuple[CtorDecl, ...] = ()
-    loc: Loc | None = field(default=None, compare=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
+@node
 class Clause:
     pats: tuple[Pattern, ...]
     rhs: Term
-    loc: Loc | None = field(default=None, compare=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
+@node
 class FunDecl:
     name: str
     binders: Telescope
@@ -84,26 +83,26 @@ class FunDecl:
     clauses: tuple[Clause, ...] = ()
     body: Term | None = None  # single-body form, exclusive with clauses
     partial: bool = False  # skip the termination check
-    loc: Loc | None = field(default=None, compare=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
+@node
 class AxiomDecl:
     name: str
     type: Term
-    loc: Loc | None = field(default=None, compare=False)
+    loc: Loc | None = None
 
 
-@dataclass(frozen=True)
+@node
 class MutualBlock:
     decls: tuple[DataDecl, ...]
-    loc: Loc | None = field(default=None, compare=False)
+    loc: Loc | None = None
 
 
 Declaration = DataDecl | FunDecl | AxiomDecl | MutualBlock
 
 
-@dataclass(frozen=True)
+@node
 class SourceModule:
     decls: tuple[Declaration, ...] = ()
 

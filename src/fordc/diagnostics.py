@@ -7,7 +7,6 @@ match on it; the CLI renders diagnostics as text or JSON lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 CODES = {
     "E-PARSE": "source text does not match the grammar",
@@ -30,15 +29,24 @@ CODES = {
 }
 
 
-@dataclass
 class Diagnostic:
     severity: str  # error | warning | info
     code: str
     message: str
-    path: str | None = None
-    line: int | None = None
-    col: int | None = None
-    evidence: dict | None = field(default=None)
+    path: str | None
+    line: int | None
+    col: int | None
+    evidence: dict | None
+
+    def __init__(self, severity, code, message, path=None, line=None,
+                 col=None, evidence=None):
+        self.severity = severity
+        self.code = code
+        self.message = message
+        self.path = path
+        self.line = line
+        self.col = col
+        self.evidence = evidence
 
     def text(self) -> str:
         where = self.path or "<input>"

@@ -10,8 +10,6 @@ the equality proofs by matching refl.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
                     PatRefl, PatVar, SourceModule)
 from .diagnostics import TransformError
@@ -24,23 +22,34 @@ from .terms import (REFL, CtorRef, DataRef, FunRef, IdType, Term, Var,
                     subst_term)
 
 
-@dataclass
 class CtorFordInfo:
     name: str
     # one equation per constrained index: (position, row var, index term)
-    equations: list[tuple[int, str, Term]] = field(default_factory=list)
-    row_vars: list[str] = field(default_factory=list)
+    equations: list[tuple[int, str, Term]]
+    row_vars: list[str]
     # row variables left unconstrained: bound by the row only, not hoisted
-    kept: set[str] = field(default_factory=set)
+    kept: set[str]
+
+    def __init__(self, name):
+        self.name = name
+        self.equations = []
+        self.row_vars = []
+        self.kept = set()
 
 
-@dataclass
 class FordPlan:
     target: str
     forded: str
     per_ctor: list[CtorFordInfo]
     to_name: str
     from_name: str
+
+    def __init__(self, target, forded, per_ctor, to_name, from_name):
+        self.target = target
+        self.forded = forded
+        self.per_ctor = per_ctor
+        self.to_name = to_name
+        self.from_name = from_name
 
     def report(self) -> dict:
         return {

@@ -288,6 +288,10 @@ class Checker:
                         patvars: list[Binder], pctx: Ctx, base: str, c):
         match pat:
             case PatVar(x):
+                if x in pctx:
+                    raise TypeCheckError(
+                        f"constructor {c.name}: row variable {x!r} shadows a "
+                        "parameter", code="E-NAME-CLASH", loc=c.loc)
                 name = fresh_name(base, pctx, {b.name for b in patvars},
                                   self.sig.all_names()) if x == "_" else x
                 patvars.append(Binder(name, expected))

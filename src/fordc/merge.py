@@ -11,8 +11,6 @@ higher-enumeration used for the loop-based integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .decls import (Binder, CtorDecl, DataDecl, FunDecl, MutualBlock,
                     PatCtor, SourceModule)
 from .diagnostics import TransformError
@@ -24,14 +22,21 @@ from .terms import (App, CtorRef, DataRef, IdType, Term, Univ, data_refs,
                     map_term)
 
 
-@dataclass
 class MergePlan:
     block: list[str]
     enum_name: str
     family_name: str
     tag_of: dict[str, str]
-    ctor_map: dict[str, str] = field(default_factory=dict)  # "D.c" -> c_T
-    paths: list[tuple[str, str, str]] = field(default_factory=list)
+    ctor_map: dict[str, str]  # "D.c" -> c_T
+    paths: list[tuple[str, str, str]]
+
+    def __init__(self, block, enum_name, family_name, tag_of, paths):
+        self.block = block
+        self.enum_name = enum_name
+        self.family_name = family_name
+        self.tag_of = tag_of
+        self.ctor_map = {}
+        self.paths = paths
 
     def report(self) -> dict:
         return {
@@ -137,7 +142,7 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
         tag_of[d.name] = tag
 
     plan = MergePlan([d.name for d in members], enum_name, family_name,
-                     tag_of, paths=list(path_ctors))
+                     tag_of, list(path_ctors))
     enum_ctors = [CtorDecl(tag_of[d.name]) for d in members]
     for pname, l, r in path_ctors:
         for end in (l, r):

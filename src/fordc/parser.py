@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl, FunDecl,
                     MutualBlock, PatCtor, PatInacc, PatRefl, Pattern, PatVar,
@@ -27,12 +26,17 @@ KEYWORDS = {"data", "def", "axiom", "mutual", "end", "partial",
             "Pi", "Id", "J", "refl", "Type0", "Type1"}
 
 
-@dataclass
 class Token:
     kind: str  # keyword text, punct text, "ident", "qident", or "eof"
     text: str
     line: int
     col: int
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
@@ -86,21 +90,29 @@ def lex(src: str) -> list[Token]:
         col += len(text)
 
 
-@dataclass
 class NameEnv:
     """Names visible to the parser: datatypes with their constructors,
     functions, and axioms. Constructors are registered only through
     `add_ctor`, which keeps the constructor -> datatypes index exact."""
 
-    datas: dict[str, dict[str, bool]] = field(default_factory=dict)  # ctor -> is_path
-    funs: set[str] = field(default_factory=set)
-    axioms: set[str] = field(default_factory=set)
-    owners: dict[str, list[str]] = field(default_factory=dict)  # ctor -> datas
+    datas: dict[str, dict[str, bool]]  # ctor -> is_path
+    funs: set[str]
+    axioms: set[str]
+    owners: dict[str, list[str]]  # ctor -> datas
+
+    def __init__(self):
+        self.datas = {}
+        self.funs = set()
+        self.axioms = set()
+        self.owners = {}
 
     def copy(self) -> "NameEnv":
-        return NameEnv({d: dict(cs) for d, cs in self.datas.items()},
-                       set(self.funs), set(self.axioms),
-                       {c: list(ds) for c, ds in self.owners.items()})
+        env = NameEnv()
+        env.datas = {d: dict(cs) for d, cs in self.datas.items()}
+        env.funs = set(self.funs)
+        env.axioms = set(self.axioms)
+        env.owners = {c: list(ds) for c, ds in self.owners.items()}
+        return env
 
     def add_ctor(self, data: str, name: str, is_path: bool):
         self.datas[data][name] = is_path
@@ -122,8 +134,8 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def advance(self) -> Token:
         t = self.toks[self.pos]

@@ -8,7 +8,6 @@ declaration order, and afterwards it is only read.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 from .decls import (Binder, Clause, DataDecl, Declaration, MutualBlock,
                     Pattern, Telescope)
@@ -17,24 +16,39 @@ from .terms import (DataRef, Pi, Term, Univ, Var, free_vars, fresh_name,
                     mk_app, spine, subst_term)
 
 
-@dataclass
 class CtorInfo:
     data: str
     name: str
-    patvars: Telescope = ()          # row variables, in binding order
-    args: Telescope = ()
-    avail_pats: tuple[Pattern, ...] = ()
-    avail_terms: tuple[Term, ...] = ()  # row read back over params ++ patvars
-    is_path: bool = False
-    type: Term = Univ(0)             # full constructor type
+    patvars: Telescope               # row variables, in binding order
+    args: Telescope
+    avail_pats: tuple[Pattern, ...]
+    avail_terms: tuple[Term, ...]    # row read back over params ++ patvars
+    is_path: bool
+    type: Term                       # full constructor type
+
+    def __init__(self, data, name, patvars=(), args=(), avail_pats=(),
+                 avail_terms=(), is_path=False, type=Univ(0)):
+        self.data = data
+        self.name = name
+        self.patvars = patvars
+        self.args = args
+        self.avail_pats = avail_pats
+        self.avail_terms = avail_terms
+        self.is_path = is_path
+        self.type = type
 
 
-@dataclass
 class DataInfo:
     decl: DataDecl
     params: Telescope
     indices: Telescope
-    ctors: dict[str, CtorInfo] = field(default_factory=dict)
+    ctors: dict[str, CtorInfo]
+
+    def __init__(self, decl, params, indices):
+        self.decl = decl
+        self.params = params
+        self.indices = indices
+        self.ctors = {}
 
     def former_type(self) -> Term:
         return telescope_pi(self.params + self.indices, Univ(0))
@@ -43,13 +57,19 @@ class DataInfo:
         return [c for c in self.ctors.values() if not c.is_path]
 
 
-@dataclass
 class FunInfo:
     name: str
     binders: Telescope
     ret: Term
-    clauses: list[Clause] = field(default_factory=list)
-    partial: bool = False
+    clauses: list[Clause]
+    partial: bool
+
+    def __init__(self, name, binders, ret, clauses, partial):
+        self.name = name
+        self.binders = binders
+        self.ret = ret
+        self.clauses = clauses
+        self.partial = partial
 
     @property
     def arity(self) -> int:
@@ -59,21 +79,29 @@ class FunInfo:
         return telescope_pi(self.binders, self.ret)
 
 
-@dataclass
 class AxiomInfo:
     name: str
     type: Term
 
+    def __init__(self, name, type):
+        self.name = name
+        self.type = type
 
-@dataclass
+
 class Signature:
     """Grows only through the `add_*` methods, which keep `names` (every
     declaration and constructor name) exact."""
 
-    datas: dict[str, DataInfo] = field(default_factory=dict)
-    funs: dict[str, FunInfo] = field(default_factory=dict)
-    axioms: dict[str, AxiomInfo] = field(default_factory=dict)
-    names: set[str] = field(default_factory=set)
+    datas: dict[str, DataInfo]
+    funs: dict[str, FunInfo]
+    axioms: dict[str, AxiomInfo]
+    names: set[str]
+
+    def __init__(self, datas=None, funs=None, axioms=None, names=None):
+        self.datas = {} if datas is None else datas
+        self.funs = {} if funs is None else funs
+        self.axioms = {} if axioms is None else axioms
+        self.names = set() if names is None else names
 
     def copy(self) -> "Signature":
         return Signature(dict(self.datas), dict(self.funs), dict(self.axioms),

@@ -9,77 +9,78 @@ names literally).
 from __future__ import annotations
 
 from collections.abc import Container, Iterator
-from dataclasses import dataclass
+
+from .node import node
 
 
-@dataclass(frozen=True)
+@node
 class Term:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Univ(Term):
     level: int  # 0 or 1
 
 
-@dataclass(frozen=True)
+@node
 class Pi(Term):
     binder: str
     domain: Term
     codomain: Term
 
 
-@dataclass(frozen=True)
+@node
 class Lam(Term):
     binder: str
     body: Term
 
 
-@dataclass(frozen=True)
+@node
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@node
 class DataRef(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class CtorRef(Term):
     data: str
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class FunRef(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class AxiomRef(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class IdType(Term):
     carrier: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@node
 class Refl(Term):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class JElim(Term):
     motive: Term
     base: Term

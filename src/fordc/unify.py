@@ -11,28 +11,33 @@ occurs-check failure is conservatively Stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .normalize import Normalizer
 from .signature import Signature
 from .terms import (CtorRef, Refl, Term, Var, alpha_eq, free_vars, spine,
                     subst_term)
 
 
-@dataclass
 class UnifySuccess:
-    subst: dict[str, Term] = field(default_factory=dict)
+    subst: dict[str, Term]
+
+    def __init__(self, subst):
+        self.subst = subst
 
 
-@dataclass
 class UnifyMismatch:
     lhs: Term
     rhs: Term
 
+    def __init__(self, lhs, rhs):
+        self.lhs = lhs
+        self.rhs = rhs
 
-@dataclass
+
 class UnifyStuck:
     blocker: Term
+
+    def __init__(self, blocker):
+        self.blocker = blocker
 
 
 UnifyResult = UnifySuccess | UnifyMismatch | UnifyStuck

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import chain, count
 from pathlib import Path
 
@@ -8,6 +7,7 @@ import pytest
 from fordc import (Binder, DataDecl, FunDecl, MutualBlock, PatCtor, PatInacc,
                    PatVar, SourceModule, check_module, parse,
                    prelude_signature)
+from fordc.node import replace
 from fordc.terms import Lam, Pi, Var, map_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"

@@ -23,3 +23,17 @@ def test_module_imports_first(name):
     proc = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fordc_imports_without_dataclasses():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
+    # generating its classes dominated start-up
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(PKG.parent)!r})\n"
+            "import fordc, fordc.cli\n"
+            "assert fordc.__file__.startswith(sys.path[0]), fordc.__file__\n"
+            "print('dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -575,6 +575,20 @@ data D (x : Type0) : (l : List x)
 """))
 
 
+def test_a_row_variable_named_like_a_parameter_is_a_clash():
+    # left alone, the row variable `A` captures the parameter in the result
+    # type, which would read `P A A`
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(parse("""
+data P (A : Type0) : (n : Type0)
+  | mk [A] (x : A)
+"""))
+    assert ei.value.code == "E-NAME-CLASH"
+    assert ei.value.message == ("constructor mk: row variable 'A' shadows a "
+                                "parameter")
+    assert ei.value.loc == (3, 3)
+
+
 def _verdict(m) -> str:
     try:
         check_module(m)
