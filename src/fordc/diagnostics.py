@@ -6,8 +6,6 @@ match on it; the CLI renders diagnostics as text or JSON lines.
 
 from __future__ import annotations
 
-import json
-
 CODES = {
     "E-PARSE": "source text does not match the grammar",
     "E-SCOPE": "unknown, ambiguous, or duplicate name",
@@ -57,6 +55,7 @@ class Diagnostic:
         return f"{self.severity}[{self.code}] {where}: {self.message}"
 
     def json(self) -> str:
+        import json  # only --json renders; importing it costs start-up time
         record = {
             "severity": self.severity,
             "code": self.code,

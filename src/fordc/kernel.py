@@ -214,22 +214,23 @@ class Checker:
                 ctx[b.name] = b.type
         return ctx
 
-    def check_data(self, d: DataDecl, group: set[str] | None = None):
-        group = group or {d.name}
+    def _declare(self, d: DataDecl) -> Ctx:
+        """Check a datatype's header and add it to the signature; returns
+        the context of its parameters."""
         for b in d.params + d.indices:
-            hit = data_refs(b.type) & group
-            if hit:
+            if d.name in data_refs(b.type):
                 raise TypeCheckError(
-                    f"data {d.name}: {sorted(hit)[0]} cannot appear in its "
-                    "own parameters or indices", loc=d.loc)
+                    f"data {d.name}: {d.name} cannot appear in its own "
+                    "parameters or indices", loc=d.loc)
         pctx = self.check_telescope({}, d.params, f"data {d.name} parameters")
         self.check_telescope(pctx, d.indices, f"data {d.name} indices")
-        if d.name not in self.sig.datas:
-            self.sig.add_data(DataInfo(d, d.params, d.indices))
-        info = self.sig.datas[d.name]
-        info.decl, info.params, info.indices = d, d.params, d.indices
+        self.sig.add_data(DataInfo(d, d.params, d.indices))
+        return pctx
+
+    def check_data(self, d: DataDecl):
+        pctx = self._declare(d)
         for c in d.ctors:
-            self.sig.add_ctor(self._check_ctor(d, c, pctx, group))
+            self.sig.add_ctor(self._check_ctor(d, c, pctx, {d.name}))
 
     def _check_ctor(self, d: DataDecl, c, pctx: Ctx,
                     group: set[str]) -> CtorInfo:
@@ -249,7 +250,9 @@ class Checker:
                 f"constructor {c.name}: availability row has "
                 f"{len(c.availability)} patterns but {d.name} has "
                 f"{len(d.indices)} indices", code="E-ARITY", loc=c.loc)
-        patvars, avail_terms, avail_pats = self._elab_avail_row(d, c, pctx)
+        patvars: list[Binder] = []
+        avail_terms, avail_pats = self._elab_avail_seq(
+            d.indices, d.indices, c.availability, patvars, pctx, c)
         actx = dict(pctx)
         for b in patvars:
             actx[b.name] = b.type
@@ -265,24 +268,25 @@ class Checker:
             args.append(b)
         result = self.sig.data_applied(d.name, telescope_vars(d.params),
                                        list(avail_terms))
-        full = telescope_pi(tuple(list(d.params) + list(patvars) + args),
-                            result)
+        full = telescope_pi(tuple(list(d.params) + patvars + args), result)
         return CtorInfo(d.name, c.name, tuple(patvars), tuple(args),
                         tuple(avail_pats), tuple(avail_terms), False, full)
 
-    def _elab_avail_row(self, d: DataDecl, c, pctx: Ctx):
-        patvars: list[Binder] = []
+    def _elab_avail_seq(self, tele, own, pats, patvars: list[Binder],
+                        pctx: Ctx, c):
+        """Elaborate `pats` against the telescope `tele`, each type taking
+        the earlier results; a `_` is named after its entry in `own`, the
+        declared telescope."""
+        sub: dict[str, Term] = {}
         terms: list[Term] = []
-        pats: list[Pattern] = []
-        isub: dict[str, Term] = {}
-        for idx, pat in zip(d.indices, c.availability):
-            expected = self.nf(subst_term(idx.type, isub))
-            t, p2 = self._elab_avail_pat(pat, expected, patvars, pctx,
-                                         idx.name, c)
+        out: list[Pattern] = []
+        for b, base, pat in zip(tele, own, pats):
+            t, p2 = self._elab_avail_pat(pat, self.nf(subst_term(b.type, sub)),
+                                         patvars, pctx, base.name, c)
+            sub[b.name] = t
             terms.append(t)
-            pats.append(p2)
-            isub[idx.name] = t
-        return tuple(patvars), tuple(terms), tuple(pats)
+            out.append(p2)
+        return tuple(terms), tuple(out)
 
     def _elab_avail_pat(self, pat: Pattern, expected: Term,
                         patvars: list[Binder], pctx: Ctx, base: str, c):
@@ -315,20 +319,10 @@ class Checker:
                         f"constructor {c.name}: pattern {cn} takes "
                         f"{len(slots)} arguments, given {len(subs)}",
                         code="E-ARITY", loc=c.loc)
-                ssub: dict[str, Term] = {}
-                sub_terms: list[Term] = []
-                sub_pats: list[Pattern] = []
-                # a `_` is named after the declared slot, not the opened one
-                for own, slot, sp in zip(cinfo.patvars + cinfo.args, slots,
-                                         subs):
-                    sty = self.nf(subst_term(slot.type, ssub))
-                    t, p2 = self._elab_avail_pat(sp, sty, patvars, pctx,
-                                                 own.name, c)
-                    ssub[slot.name] = t
-                    sub_terms.append(t)
-                    sub_pats.append(p2)
+                sub_terms, sub_pats = self._elab_avail_seq(
+                    slots, cinfo.patvars + cinfo.args, subs, patvars, pctx, c)
                 return (mk_app(CtorRef(dn, cn), *us, *sub_terms),
-                        PatCtor(dn, cn, tuple(sub_pats)))
+                        PatCtor(dn, cn, sub_pats))
             case PatInacc(t):
                 ctx = dict(pctx)
                 for b in patvars:
@@ -374,13 +368,10 @@ class Checker:
                         f"mutual datatype {d.name} is indexed by group "
                         f"member {sorted(dep)[0]}; inductive-inductive "
                         "blocks are not supported", loc=d.loc)
-        for d in block.decls:
-            pctx = self.check_telescope({}, d.params,
-                                        f"data {d.name} parameters")
-            self.check_telescope(pctx, d.indices, f"data {d.name} indices")
-            self.sig.add_data(DataInfo(d, d.params, d.indices))
-        for d in block.decls:
-            self.check_data(d, group)
+        pctxs = [self._declare(d) for d in block.decls]
+        for d, pctx in zip(block.decls, pctxs):
+            for c in d.ctors:
+                self.sig.add_ctor(self._check_ctor(d, c, pctx, group))
 
     def check_axiom(self, a: AxiomDecl):
         self.check_is_type({}, a.type)
@@ -391,16 +382,13 @@ class Checker:
         self.check_is_type(ctx, f.ret)
         info = FunInfo(f.name, f.binders, f.ret, [], f.partial)
         self.sig.add_fun(info)
-        if f.body is not None:
-            self.check(ctx, f.body, f.ret)
-            clauses = [Clause(tuple(PatVar(b.name) for b in f.binders),
-                              f.body)]
-        else:
-            for clause in f.clauses:
-                self._check_clause(f, clause)
-            clauses = list(f.clauses)
-            self._check_coverage(f)
+        # a single body is the one clause binding every argument
+        clauses = list(f.clauses) if f.body is None else [
+            Clause(tuple(PatVar(b.name) for b in f.binders), f.body)]
+        for clause in clauses:
+            self._check_clause(f, clause)
         info.clauses = clauses
+        self._check_coverage(f)
         self._check_termination(f)
 
     def check_module(self, m: SourceModule):
@@ -450,7 +438,7 @@ class Checker:
 
     def _check_coverage(self, f: FunDecl):
         cols = [(b.name, b.type) for b in f.binders]
-        rows = [list(c.pats) for c in f.clauses]
+        rows = [list(c.pats) for c in self.sig.funs[f.name].clauses]
         self._cover(f.name, cols, rows, [], set())
 
     def _cover(self, fname: str, cols, rows, acc, gen: set[str]):
@@ -516,9 +504,8 @@ class Checker:
     def _check_termination(self, f: FunDecl):
         if f.partial:
             return
-        clauses = (self.sig.funs[f.name].clauses if f.body is not None
-                   else list(f.clauses))
-        calls = [(c, args) for c in clauses for head, args in spines(c.rhs)
+        calls = [(c, args) for c in self.sig.funs[f.name].clauses
+                 for head, args in spines(c.rhs)
                  if isinstance(head, FunRef) and head.name == f.name]
         if not calls:
             return
@@ -673,11 +660,7 @@ class _ClauseState:
                 match sp:
                     case PatVar(_):
                         values.append(Var(name))
-                    case PatRefl():
-                        v = self.elab(sp, self.ctx[name])
-                        self.apply({name: v})
-                        values.append(REFL)
-                    case PatCtor(_, _, _):
+                    case PatRefl() | PatCtor(_, _, _):
                         v = self.elab(sp, self.ctx[name])
                         self.apply({name: v})
                         values.append(v)

@@ -127,19 +127,20 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
 
     taken = (sig.all_names() - wanted
              - {c.name for d in members for c in d.ctors}) | wanted
+
+    def claim(name: str, what: str) -> str:
+        if name in taken:
+            raise TransformError(
+                f"{what} {name!r} collides with an existing name",
+                code="E-NAME-CLASH")
+        taken.add(name)
+        return name
+
     enum_name = _pick(["U", "U1", "U2", "U3"], taken)
     taken.add(enum_name)
     family_name = _pick(["T", "T1", "T2", "T3"], taken)
     taken.add(family_name)
-    tag_of: dict[str, str] = {}
-    for d in members:
-        tag = f"{d.name}_tag"
-        if tag in taken:
-            raise TransformError(
-                f"generated tag {tag!r} collides with an existing name",
-                code="E-NAME-CLASH")
-        taken.add(tag)
-        tag_of[d.name] = tag
+    tag_of = {d.name: claim(f"{d.name}_tag", "generated tag") for d in members}
 
     plan = MergePlan([d.name for d in members], enum_name, family_name,
                      tag_of, list(path_ctors))
@@ -150,13 +151,8 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
                 raise TransformError(
                     f"path constructor {pname} references unknown block "
                     f"member {end!r}", code="E-MERGE-BLOCK")
-        if pname in taken:
-            raise TransformError(
-                f"path constructor name {pname!r} collides with an "
-                "existing name", code="E-NAME-CLASH")
-        taken.add(pname)
         enum_ctors.append(CtorDecl(
-            pname, is_path=True,
+            claim(pname, "path constructor name"), is_path=True,
             path_type=IdType(DataRef(enum_name),
                              CtorRef(enum_name, tag_of[l]),
                              CtorRef(enum_name, tag_of[r]))))
@@ -173,12 +169,7 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     family_ctors = []
     for d in members:
         for c in d.ctors:
-            cname = f"{c.name}_T"
-            if cname in taken:
-                raise TransformError(
-                    f"generated constructor {cname!r} collides with an "
-                    "existing name", code="E-NAME-CLASH")
-            taken.add(cname)
+            cname = claim(f"{c.name}_T", "generated constructor")
             plan.ctor_map[f"{d.name}.{c.name}"] = cname
             args = tuple(Binder(b.name, retag(b.type)) for b in c.args)
             family_ctors.append(CtorDecl(

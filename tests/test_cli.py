@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from fordc import (AxiomDecl, Checker, Diagnostic, FunDecl, SourceModule,
-                   parse)
+from fordc import (AxiomDecl, Checker, Clause, Diagnostic, FunDecl, PatVar,
+                   SourceModule, parse)
 from fordc import cli
 from fordc.cli import main
 from fordc.terms import App, CtorRef, DataRef, Var
+from fordc.node import replace
 from conftest import CORPUS, arith_theorem, corpus_text, load, numeral
 
 
@@ -94,6 +95,23 @@ def test_merge_with_path_flag(tmp_path, capsys):
     assert out.read_text() == (CORPUS / "int-point.merged.golden.fda").read_text()
     assert json.loads(report)["paths"] == [
         {"name": "path", "lhs": "Int_tag", "rhs": "Int_tag"}]
+
+
+@pytest.mark.parametrize("source, extra, message", [
+    ("data D1 | a\n\ndata D1_tag | q\n", [],
+     "generated tag 'D1_tag' collides with an existing name"),
+    ("data D1 | a\n\ndata Z | pth\n", ["--path", "pth:D1:D1"],
+     "path constructor name 'pth' collides with an existing name"),
+    ("data D1 | a\n\ndata Z | a_T\n", [],
+     "generated constructor 'a_T' collides with an existing name"),
+], ids=["tag", "path", "constructor"])
+def test_merge_generated_name_clashes(tmp_path, capsys, source, extra,
+                                      message):
+    path = tmp_path / "in.fda"
+    path.write_text(source)
+    code, out, err = run(capsys, "merge", str(path), "--types", "D1", *extra)
+    assert (code, out) == (5, "")
+    assert err == f"error[E-NAME-CLASH] {path}: {message}\n"
 
 
 def test_cli_output_deterministic(tmp_path, capsys):
@@ -232,6 +250,37 @@ def test_step_budget_error_is_located(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(mod), "--step-budget", "1000")
     assert code == 1
     assert err.startswith(f"error[E-STEP-BUDGET] {mod}:9:1: ")
+
+
+NAT = "data Nat | zero | suc (n : Nat)\n\n"
+
+
+@pytest.mark.parametrize("source, expected", [
+    (NAT + "def f (n : Nat) : Nat => refl\n", "error[E-TYPE] {}:3:1: "),
+    (NAT + "def f (n : Nat) : Nat => f n\n", "error[E-TERMINATION] {}:3:1: "),
+    (NAT + "partial def loop (n : Nat) : Nat => loop n\n\n"
+           "partial def t (n : Nat) : Id Nat (loop n) zero => refl\n",
+     "error[E-STEP-BUDGET] {}:5:1: "),
+    (NAT + "def N : Type0 => Nat\n\ndef z : N => zero\n", ""),
+], ids=["type", "termination", "step-budget", "alias"])
+def test_single_body_checks_as_its_one_clause(tmp_path, monkeypatch, capsys,
+                                              source, expected):
+    # the twin spells every body as one all-variable clause; it is built
+    # after parsing, since an arity-zero clause has no source syntax
+    def one_clause(d):
+        if not isinstance(d, FunDecl) or d.body is None:
+            return d
+        pats = tuple(PatVar(b.name) for b in d.binders)
+        return replace(d, body=None, clauses=(Clause(pats, d.body),))
+
+    path = tmp_path / "in.fda"
+    path.write_text(source)
+    argv = ["check", str(path), "--step-budget", "1000"]
+    code, out, err = run(capsys, *argv)
+    assert err.startswith(expected.format(path)) and (code == 0) == (not err)
+    monkeypatch.setattr(cli, "parse", lambda text, env: SourceModule(
+        tuple(one_clause(d) for d in parse(text, env).decls)))
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_invalid_utf8_is_an_io_error(tmp_path, capsys):
@@ -377,9 +426,9 @@ def test_ford_leaves_the_forded_family_to_the_recheck(monkeypatch, capsys):
     checked = []
     orig = Checker.check_data
 
-    def spy(self, d, group=None):
+    def spy(self, d):
         checked.append(d.name)
-        return orig(self, d, group)
+        return orig(self, d)
     monkeypatch.setattr(Checker, "check_data", spy)
     code, _, _ = run(capsys, "ford", cp("vec.fda"), "--data", "Vec")
     assert code == 0 and checked == ["Nat", "Vec", "VecF"]

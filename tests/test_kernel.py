@@ -77,6 +77,18 @@ def test_mutual_members_are_clash_checked():
     assert ei.value.code == "E-NAME-CLASH" and "'Nat'" in ei.value.message
 
 
+def test_mutual_members_check_their_telescopes_once(monkeypatch):
+    calls = []
+    orig = Checker.check_telescope
+
+    def spy(self, ctx, tele, what):
+        calls.append(what)
+        return orig(self, ctx, tele, what)
+    monkeypatch.setattr(Checker, "check_telescope", spy)
+    load_checked("d1d2.fda")
+    assert calls.count("data D1 parameters") == 1
+
+
 def test_check_module_extends_a_given_base_and_leaves_it_unchanged():
     m = load("vec.forded.golden.fda")
     base = check_module(SourceModule(m.decls[:2]))
