@@ -125,6 +125,8 @@ class StepBudgetExceeded(FordcError):
 
 
 class TransformError(FordcError):
-    def __init__(self, message: str, *, code: str, evidence: dict | None = None):
-        super().__init__(message, evidence=evidence)
+    def __init__(self, message: str, *, code: str,
+                 loc: tuple[int, int] | None = None,
+                 evidence: dict | None = None):
+        super().__init__(message, loc=loc, evidence=evidence)
         self.code = code

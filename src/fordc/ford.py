@@ -75,13 +75,13 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
     """Rewrite a checked, indexed datatype into its index-free form."""
     if not d.indices:
         raise TransformError(f"datatype {d.name} has no indices to ford",
-                             code="E-FORD-NO-INDICES")
+                             code="E-FORD-NO-INDICES", loc=d.loc)
     bound: set[str] = set()
     for b in d.indices:
         if free_vars(b.type) & bound:
             raise TransformError(
                 f"datatype {d.name} has a dependent index telescope, which "
-                "fording does not support", code="E-FORD-TARGET")
+                "fording does not support", code="E-FORD-TARGET", loc=d.loc)
         bound.add(b.name)
     new_name = d.name + suffix
     if not is_ident(new_name):
@@ -102,7 +102,7 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
                 raise TransformError(
                     f"path constructor {c.name} mentions {d.name} itself; "
                     "its endpoints cannot be transported to the forded "
-                    "family", code="E-FORD-TARGET")
+                    "family", code="E-FORD-TARGET", loc=c.loc)
             ctors.append(CtorDecl(c.name, is_path=True,
                                   path_type=c.path_type))
             continue
@@ -244,7 +244,7 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
         if getattr(decl, "decls", None) and d in decl.decls:
             raise TransformError(
                 f"{name} belongs to a mutual block; fording mutual members "
-                "is not supported", code="E-FORD-TARGET")
+                "is not supported", code="E-FORD-TARGET", loc=d.loc)
     forded, plan = ford_data(d, sig, suffix)
     to_fun, from_fun = gen_converters(plan, sig)
     out = SourceModule(m.decls + (forded, to_fun, from_fun))

@@ -67,7 +67,7 @@ def _block_positions(m: SourceModule, names: list[str]) -> tuple[int, int]:
                     raise TransformError(
                         "a mutual block must be merged whole; missing "
                         + ", ".join(sorted(members - wanted)),
-                        code="E-MERGE-BLOCK")
+                        code="E-MERGE-BLOCK", loc=decl.loc)
                 hit.append(i)
     covered = set()
     for i in hit:
@@ -90,7 +90,7 @@ def _check_member(d: DataDecl, wanted: set[str]):
     if d.params:
         raise TransformError(
             f"block member {d.name} has parameters; only plain datatypes "
-            "can be merged", code="E-MERGE-BLOCK")
+            "can be merged", code="E-MERGE-BLOCK", loc=d.loc)
     if d.indices:
         for b in d.indices:
             dep = data_refs(b.type) & wanted
@@ -98,15 +98,16 @@ def _check_member(d: DataDecl, wanted: set[str]):
                 raise TransformError(
                     f"inductive-inductive dependency: {d.name} is indexed "
                     f"by block member {sorted(dep)[0]}",
-                    code="E-MERGE-BLOCK")
+                    code="E-MERGE-BLOCK", loc=d.loc)
         raise TransformError(
             f"block member {d.name} is indexed; only plain datatypes can "
-            "be merged", code="E-MERGE-BLOCK")
+            "be merged", code="E-MERGE-BLOCK", loc=d.loc)
     for c in d.ctors:
         if c.is_path:
             raise TransformError(
                 f"block member {d.name} has path constructor {c.name}; "
-                "members must be plain datatypes", code="E-MERGE-BLOCK")
+                "members must be plain datatypes", code="E-MERGE-BLOCK",
+                loc=c.loc)
 
 
 def merge_block(m: SourceModule, sig: Signature, names: list[str],
@@ -128,11 +129,11 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     taken = (sig.all_names() - wanted
              - {c.name for d in members for c in d.ctors}) | wanted
 
-    def claim(name: str, what: str) -> str:
+    def claim(name: str, what: str, loc=None) -> str:
         if name in taken:
             raise TransformError(
                 f"{what} {name!r} collides with an existing name",
-                code="E-NAME-CLASH")
+                code="E-NAME-CLASH", loc=loc)
         taken.add(name)
         return name
 
@@ -140,7 +141,8 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     taken.add(enum_name)
     family_name = _pick(["T", "T1", "T2", "T3"], taken)
     taken.add(family_name)
-    tag_of = {d.name: claim(f"{d.name}_tag", "generated tag") for d in members}
+    tag_of = {d.name: claim(f"{d.name}_tag", "generated tag", d.loc)
+              for d in members}
 
     plan = MergePlan([d.name for d in members], enum_name, family_name,
                      tag_of, list(path_ctors))
@@ -169,7 +171,7 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     family_ctors = []
     for d in members:
         for c in d.ctors:
-            cname = claim(f"{c.name}_T", "generated constructor")
+            cname = claim(f"{c.name}_T", "generated constructor", c.loc)
             plan.ctor_map[f"{d.name}.{c.name}"] = cname
             args = tuple(Binder(b.name, retag(b.type)) for b in c.args)
             family_ctors.append(CtorDecl(

@@ -306,14 +306,9 @@ class Parser:
     def parse_pattern_atom(self, bound: list[str],
                            locals_base: list[str]) -> Pattern:
         tok = self.peek()
-        if tok.kind == "ident":
+        if tok.kind in ("ident", "qident"):
             self.advance()
             return self.make_head_pattern(tok, (), bound)
-        if tok.kind == "qident":
-            self.advance()
-            data, ctor = self.resolve_qualified(tok.text, tok)
-            self.check_point_ctor(data, ctor, tok)
-            return PatCtor(data, ctor)
         if tok.kind == "refl":
             self.advance()
             return PatRefl()

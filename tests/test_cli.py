@@ -99,11 +99,11 @@ def test_merge_with_path_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("source, extra, message", [
     ("data D1 | a\n\ndata D1_tag | q\n", [],
-     "generated tag 'D1_tag' collides with an existing name"),
+     "{}:1:1: generated tag 'D1_tag' collides with an existing name"),
     ("data D1 | a\n\ndata Z | pth\n", ["--path", "pth:D1:D1"],
-     "path constructor name 'pth' collides with an existing name"),
+     "{}: path constructor name 'pth' collides with an existing name"),
     ("data D1 | a\n\ndata Z | a_T\n", [],
-     "generated constructor 'a_T' collides with an existing name"),
+     "{}:1:9: generated constructor 'a_T' collides with an existing name"),
 ], ids=["tag", "path", "constructor"])
 def test_merge_generated_name_clashes(tmp_path, capsys, source, extra,
                                       message):
@@ -111,7 +111,24 @@ def test_merge_generated_name_clashes(tmp_path, capsys, source, extra,
     path.write_text(source)
     code, out, err = run(capsys, "merge", str(path), "--types", "D1", *extra)
     assert (code, out) == (5, "")
-    assert err == f"error[E-NAME-CLASH] {path}: {message}\n"
+    assert err == f"error[E-NAME-CLASH] {message.format(path)}\n"
+
+
+@pytest.mark.parametrize("source, argv, exit_code, expected", [
+    ("data D1 (A : Type0) | a\n", ["merge", "--types", "D1"], 5,
+     "error[E-MERGE-BLOCK] {}:1:1: block member D1 has parameters; only "
+     "plain datatypes can be merged"),
+    ("data Bool | true | false\n", ["ford", "--data", "Bool"], 4,
+     "error[E-FORD-NO-INDICES] {}:1:1: datatype Bool has no indices to "
+     "ford"),
+], ids=["merge", "ford"])
+def test_transform_rejection_is_located_at_the_declaration(
+        tmp_path, capsys, source, argv, exit_code, expected):
+    path = tmp_path / "in.fda"
+    path.write_text(source)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (exit_code, "")
+    assert err == expected.format(path) + "\n"
 
 
 def test_cli_output_deterministic(tmp_path, capsys):
