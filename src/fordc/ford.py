@@ -13,9 +13,8 @@ from __future__ import annotations
 from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
                     PatRefl, PatVar, SourceModule)
 from .diagnostics import TransformError
-from .kernel import prelude_signature
 from .parser import is_ident, parse
-from .printer import print_module, print_term
+from .printer import decl_offset, print_module, print_term
 from .signature import Signature, telescope_vars
 from .terms import (REFL, CtorRef, DataRef, FunRef, IdType, Term, Var,
                     data_refs, free_vars, fresh_name, map_term, mk_app, spine,
@@ -232,10 +231,10 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
                 suffix: str = "F") -> tuple[SourceModule, FordPlan]:
     """Extend a checked module with the forded family and converters.
 
-    The result is printed and re-parsed so qualification is resolved the
-    way any reader of the output would see it. Its first declarations are
-    the input's, so the caller re-checks only the three appended ones, on
-    top of the input's signature."""
+    Only the three appended declarations are parsed back from the printed
+    output, against the input's names, so they resolve and are located as a
+    reader of the output sees them; the caller re-checks only those, on top
+    of the input's signature."""
     d = m.find_data(name)
     if d is None:
         raise TransformError(f"no datatype named {name!r} in the module",
@@ -247,6 +246,6 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
                 "is not supported", code="E-FORD-TARGET", loc=d.loc)
     forded, plan = ford_data(d, sig, suffix)
     to_fun, from_fun = gen_converters(plan, sig)
-    out = SourceModule(m.decls + (forded, to_fun, from_fun))
-    reparsed = parse(print_module(out), prelude_signature().name_env())
-    return reparsed, plan
+    text = print_module(SourceModule(m.decls + (forded, to_fun, from_fun)))
+    added = parse(text, sig.name_env(), decl_offset(text, len(m.decls)))
+    return SourceModule(m.decls + added.decls), plan

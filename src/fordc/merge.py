@@ -14,9 +14,8 @@ from __future__ import annotations
 from .decls import (Binder, CtorDecl, DataDecl, FunDecl, MutualBlock,
                     PatCtor, SourceModule)
 from .diagnostics import TransformError
-from .kernel import prelude_signature
 from .parser import parse
-from .printer import print_module
+from .printer import decl_offset, print_module
 from .signature import Signature
 from .terms import (App, CtorRef, DataRef, IdType, Term, Univ, data_refs,
                     map_term)
@@ -184,14 +183,15 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
                                 CtorRef(enum_name, tag_of[d.name])))
                for d in members]
 
-    out_decls = (m.decls[:lo] + (enum_decl, family_decl, *aliases)
-                 + m.decls[hi + 1:])
-    # re-parse the printed module: later declarations now resolve the old
-    # type names to the aliases, and dangling constructor references fail
-    # loudly as scope errors
-    out = parse(print_module(SourceModule(out_decls)),
-                prelude_signature().name_env())
-    return out, plan
+    text = print_module(SourceModule(
+        m.decls[:lo] + (enum_decl, family_decl, *aliases) + m.decls[hi + 1:]))
+    # parse back only the text from the block on (the declarations before
+    # it are the input's own), against the names before it: later ones now
+    # resolve the old type names to the aliases, and a dangling constructor
+    # reference is a scope error located in the output
+    tail = parse(text, sig.rewind(m.decls[lo:]).name_env(),
+                 decl_offset(text, lo))
+    return SourceModule(m.decls[:lo] + tail.decls), plan
 
 
 def _pick(candidates: list[str], taken: set[str]) -> str:

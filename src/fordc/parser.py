@@ -54,12 +54,13 @@ def is_ident(name: str) -> bool:
     return re.fullmatch(_IDENT, name) is not None and name not in KEYWORDS
 
 
-def lex(src: str) -> list[Token]:
-    """One master-pattern match per token (with the blanks before it).
-    A `--` comment runs to the end of its line and does not advance the
-    column, so an `eof` right after one keeps the comment's column."""
+def lex(src: str, start: int = 0) -> list[Token]:
+    """One master-pattern match per token (with the blanks before it) from
+    `start`, a line start; lines count from 1 at the start of `src`. A `--`
+    comment runs to the end of its line and does not advance the column, so
+    an `eof` right after one keeps the comment's column."""
     toks: list[Token] = []
-    pos, line, col = 0, 1, 1
+    pos, line, col = start, src.count("\n", 0, start) + 1, 1
     while True:
         m = _TOKEN.match(src, pos)
         kind = m.lastgroup
@@ -526,9 +527,11 @@ class Parser:
         return MutualBlock(tuple(members), loc=loc)
 
 
-def parse(source: str, env: NameEnv | None = None) -> SourceModule:
-    """Parse and scope-check a module. Raises ParseError / ScopeError."""
-    p = Parser(lex(source), (env or NameEnv()).copy())
+def parse(source: str, env: NameEnv | None = None,
+          start: int = 0) -> SourceModule:
+    """Parse and scope-check the module in `source` from the line that
+    begins at `start`. Raises ParseError / ScopeError."""
+    p = Parser(lex(source, start), (env or NameEnv()).copy())
     return p.parse_module()
 
 

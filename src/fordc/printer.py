@@ -1,10 +1,11 @@
 """Deterministic pretty-printer; the single output channel for transformed code.
 
-One declaration per block separated by a blank line, two-space indentation
-for constructor rows and clauses, and a single canonical spelling per form:
-dependent products print as `Pi (x : A) -> B`, non-dependent ones as
-`A -> B`, lambda runs merge, and constructor references are qualified
-exactly when the bare name is ambiguous within the module.
+One declaration per block, blocks separated by a blank line and holding
+none, two-space indentation for constructor rows and clauses, and a single
+canonical spelling per form: dependent products print as `Pi (x : A) -> B`,
+non-dependent ones as `A -> B`, lambda runs merge, and constructor
+references are qualified exactly when the bare name is ambiguous within
+the module.
 """
 
 from __future__ import annotations
@@ -167,3 +168,9 @@ def print_module(m: SourceModule) -> str:
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
+
+
+def decl_offset(text: str, k: int) -> int:
+    """Where declaration `k` starts in `print_module`'s text: after the k
+    blocks before it and their separators, as no block holds a blank line."""
+    return sum(len(b) + 2 for b in text.split("\n\n", k)[:k])

@@ -6,7 +6,8 @@ import pytest
 
 from fordc import (AxiomDecl, Checker, Clause, Diagnostic, FunDecl, PatVar,
                    SourceModule, parse)
-from fordc import cli
+from fordc import cli, prelude_signature
+from fordc import parser as fordc_parser
 from fordc.cli import main
 from fordc.terms import App, CtorRef, DataRef, Var
 from fordc.node import replace
@@ -449,6 +450,66 @@ def test_ford_leaves_the_forded_family_to_the_recheck(monkeypatch, capsys):
     monkeypatch.setattr(Checker, "check_data", spy)
     code, _, _ = run(capsys, "ford", cp("vec.fda"), "--data", "Vec")
     assert code == 0 and checked == ["Nat", "Vec", "VecF"]
+
+
+@pytest.mark.parametrize("source, argv, golden", [
+    (corpus_text("vec.fda"), ["ford", "--data", "Vec"],
+     "vec.forded.golden.fda"),
+    (corpus_text("d1d2.fda"), ["merge", "--types", "D1,D2"],
+     "d1d2.merged.golden.fda"),
+    (MERGE_BETWEEN, ["merge", "--types", "D1,D2"], None),
+], ids=["ford-vec", "merge-d1d2", "merge-between"])
+def test_transform_lexes_only_the_changed_suffix_of_its_output(
+        tmp_path, monkeypatch, capsys, source, argv, golden):
+    # the input is lexed once; of the output, only the text from the first
+    # declaration the transform changed is parsed back
+    path = tmp_path / "in.fda"
+    path.write_text(source)
+    prelude_signature()  # lexes the prelude on first use
+    lexed = []
+    lex = fordc_parser.lex
+
+    def spy(*args):
+        toks = lex(*args)
+        lexed.append(len(toks))
+        return toks
+    monkeypatch.setattr(fordc_parser, "lex", spy)
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    monkeypatch.undo()
+    assert code == 0 and (golden is None or out == corpus_text(golden))
+    written = parse(out).decls
+    first_line = written[cli._shared_prefix(parse(source).decls,
+                                            written)].loc[0]
+    assert lexed == [len(lex(source)),
+                     sum(t.line >= first_line for t in lex(out))]
+
+
+NAT_PLUS = """\
+data Nat
+  | zero
+  | suc (n : Nat)
+
+def plus (m : Nat) (n : Nat) : Nat
+  | zero n => n
+  | (suc k) n => suc (plus k n)
+"""
+
+
+def test_merge_output_that_does_not_parse_back_is_not_written(tmp_path,
+                                                              capsys):
+    # `plus` still matches on `suc`, which the merge renames to `suc_T`, so
+    # the changed suffix does not parse back. The span is a line of the
+    # output, not of the 7-line input. Once merge rewrites later constructor
+    # references (ROADMAP, "Merge that keeps downstream code checking"),
+    # this merge is meant to succeed and this test must change with it.
+    path, dest = tmp_path / "in.fda", tmp_path / "o.fda"
+    path.write_text(NAT_PLUS)
+    code, out, err = run(capsys, "merge", str(path), "--types", "Nat",
+                         "--out", str(dest))
+    assert code == 1 and out == ""
+    assert err == (f"error[E-SCOPE] {path}:13:6: unknown constructor 'suc' "
+                   "in pattern\n")
+    assert not dest.exists()
 
 
 def test_shared_prefix_stops_at_declarations_too_deep_to_compare():

@@ -11,18 +11,31 @@ PKG = Path(__file__).resolve().parent.parent / "src" / "fordc"
 MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__init__")
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_module_imports_first(name):
+def import_alone(name: str, then: str = "") -> subprocess.CompletedProcess:
     # `-I` ignores PYTHONPATH, so the child builds an empty `fordc` package
     # itself; the real `__init__` would import every module first
     code = ("import sys, types\n"
             "pkg = types.ModuleType('fordc')\n"
             f"pkg.__path__ = [{str(PKG)!r}]\n"
             "sys.modules['fordc'] = pkg\n"
-            f"import fordc.{name}\n")
-    proc = subprocess.run([sys.executable, "-I", "-c", code],
+            f"import fordc.{name}\n" + then)
+    return subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_first(name):
+    proc = import_alone(name)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["ford", "merge"])
+def test_transforms_do_not_load_the_kernel(name):
+    # each parses its output back against the names of the signature it is
+    # given, so it needs no prelude of its own
+    proc = import_alone(name, "print('fordc.kernel' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_fordc_imports_without_dataclasses():

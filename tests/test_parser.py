@@ -1,8 +1,10 @@
 import pytest
 
-from fordc import (DataDecl, ParseError, PatCtor, PatInacc, PatVar,
-                   ScopeError, parse, print_module)
-from fordc.parser import lex
+from fordc import (DataDecl, FunDecl, MutualBlock, ParseError, PatCtor,
+                   PatInacc, PatVar, ScopeError, parse, prelude_signature,
+                   print_module)
+from fordc.parser import Parser, lex, parse as parse_from
+from fordc.printer import decl_offset
 from fordc.terms import CtorRef
 from conftest import CORPUS, corpus_text, load
 
@@ -184,3 +186,37 @@ def f (a : Nat) (b : Nat) : Nat
     (clause,) = parse(src).decls[1].clauses
     assert clause.pats == (PatCtor("Nat", "zero"),
                            PatInacc(CtorRef("Nat", "zero")))
+
+
+def test_lexer_from_an_offset_counts_lines_from_the_start():
+    assert [(t.kind, t.line, t.col) for t in lex("a\nb\n\n  c", 5)] == [
+        ("ident", 4, 3), ("eof", 4, 4)]
+
+
+def _locs(decl):
+    """Every location in a declaration: its own, and those of its members,
+    constructor rows and clauses."""
+    yield decl.loc
+    for d in decl.decls if isinstance(decl, MutualBlock) else (decl,):
+        if d is not decl:
+            yield d.loc
+        if isinstance(d, DataDecl):
+            yield from (c.loc for c in d.ctors)
+        elif isinstance(d, FunDecl):
+            yield from (c.loc for c in d.clauses)
+
+
+@pytest.mark.parametrize("golden", sorted(CORPUS.glob("*.golden.fda")),
+                         ids=lambda p: p.name)
+def test_suffix_parse_matches_the_whole_parse(golden):
+    # what a transform parses back: the printed text from declaration k on,
+    # against the names declared before it; `==` ignores locations
+    text = golden.read_text(encoding="utf-8")
+    whole = parse(text).decls
+    p = Parser(lex(text), prelude_signature().name_env())
+    for k in range(len(whole)):
+        suffix = parse_from(text, p.env, decl_offset(text, k)).decls
+        assert suffix == whole[k:]
+        assert ([list(_locs(d)) for d in suffix]
+                == [list(_locs(d)) for d in whole[k:]])
+        p.parse_decl()
