@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 type error, 2 parse/scope error, 3 I/O error,
 4 ford transform rejected, 5 merge block rejected, 6 internal error.
-Output files are written atomically (write-then-rename) or not at all.
+Output files are written atomically (write-then-rename) or not at all; a
+new file gets mode 0o666 less the umask, an overwritten one keeps its mode.
 """
 
 from __future__ import annotations
@@ -64,10 +65,17 @@ def _read(path: str) -> str:
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
     try:
+        mode = os.stat(path).st_mode & 0o7777
+    except OSError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".fordc-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
                 f.write(text)
+            os.chmod(tmp, mode)  # `mkstemp` makes the file 0o600
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -103,19 +111,30 @@ def cmd_check(args) -> int:
     return status
 
 
-def _transformed(path: str, budget: int, transform):
-    """Load and check `path`, apply `transform(module, sig)` and check its
-    output module. The output's first `k` declarations equal the input's,
-    so they would check to the input's signature as it stood before its
-    declaration `k`; only the rest is re-checked, on top of that. A load
-    failure raises `_Failure`; a failure of the transform or of the
-    re-check raises its `FordcError`."""
+def _transform(kind: str, path: str, budget: int, target: str,
+               rest: list[str]):
+    """Load and check `path`, ford (`rest`: an optional suffix) or merge
+    (`rest`: path constructor specs) `target`, re-check the output and
+    print it: (text, plan). The output's first `k` declarations equal the
+    input's, so only the rest is re-checked, on the input's signature as it
+    stood before its declaration `k`. Any failure raises `_Failure`; a
+    rejected transform exits 4 (ford) or 5 (merge)."""
     module, sig = _load_checked(path, budget)
-    out, plan = transform(module, sig)
-    k = _shared_prefix(module.decls, out.decls)
-    check_module(SourceModule(out.decls[k:]), budget,
-                 sig.rewind(module.decls[k:]))
-    return out, plan
+    try:
+        if kind == "ford":
+            out, plan = ford_module(module, sig, target, *rest)
+        else:
+            paths = [_parse_path_spec(s, path) for s in rest]
+            out, plan = merge_block(module, sig, _type_names(target), paths)
+        k = _shared_prefix(module.decls, out.decls)
+        check_module(SourceModule(out.decls[k:]), budget,
+                     sig.rewind(module.decls[k:]))
+    except TransformError as e:
+        code = EXIT_FORD if kind == "ford" else EXIT_MERGE
+        raise _Failure(code, e.diagnostic(path))
+    except FordcError as e:
+        raise _Failure(EXIT_TYPE, e.diagnostic(path))
+    return print_module(out), plan
 
 
 def _shared_prefix(a: tuple[Declaration, ...],
@@ -131,24 +150,13 @@ def _shared_prefix(a: tuple[Declaration, ...],
     return k
 
 
-def _ford(args, module, sig):
-    return ford_module(module, sig, args.data, args.suffix)
-
-
-def _merge(args, module, sig):
-    paths = [_parse_path_spec(s, args.path) for s in args.path_ctor]
-    return merge_block(module, sig, _type_names(args.types), paths)
-
-
 def cmd_transform(args) -> int:
-    try:
-        out, plan = _transformed(args.path, args.step_budget,
-                                 lambda m, sig: args.transform(args, m, sig))
-    except TransformError as e:
-        raise _Failure(args.exit_code, e.diagnostic(args.path))
-    except FordcError as e:
-        raise _Failure(EXIT_TYPE, e.diagnostic(args.path))
-    text = print_module(out)
+    if args.command == "ford":
+        target, rest = args.data, [args.suffix]
+    else:
+        target, rest = args.types, args.path_ctor
+    text, plan = _transform(args.command, args.path, args.step_budget,
+                            target, rest)
     report = json.dumps(plan.report(), indent=2, sort_keys=True)
     if args.out:
         _atomic_write(args.out, text)
@@ -226,27 +234,19 @@ def _run_case(kind: str, fields: list[str], base: str, budget: int) -> str | Non
         if kind == "golden" and print_module(module) != _read(p(fields[1])):
             return "printed text differs from golden"
         return None
-    if kind in ("ford-error", "merge-error"):
-        module, sig = _load_checked(p(inp), budget)
-        try:
-            if kind == "ford-error":
-                ford_module(module, sig, fields[1])
-            else:
-                merge_block(module, sig, _type_names(fields[1]))
-        except TransformError:
-            return None
-        what = kind.removesuffix("-error")
-        return f"expected the {what} transform to be rejected"
-    golden, target, rest = fields[1], fields[2], fields[3:]
-    paths = [_parse_path_spec(s, p(inp)) for s in rest if kind == "merge"]
+    what = kind.removesuffix("-error")
+    rejected = kind != what  # an -error case expects the transform to fail
+    target, rest = (fields[1], []) if rejected else (fields[2], fields[3:])
     try:
-        out, _ = _transformed(p(inp), budget, lambda m, sig: (
-            ford_module(m, sig, target, *rest) if kind == "ford"
-            else merge_block(m, sig, _type_names(target), paths)))
-    except FordcError as e:
-        return f"{kind} failed: {e.message}"
-    if print_module(out) != _read(p(golden)):
-        done = {"ford": "forded", "merge": "merged"}[kind]
+        text, _ = _transform(what, p(inp), budget, target, rest)
+    except _Failure as f:
+        if rejected and f.exit_code in (EXIT_FORD, EXIT_MERGE):
+            return None
+        return f"{what} failed: {f.diag.message}"
+    if rejected:
+        return f"expected the {what} transform to be rejected"
+    if text != _read(p(fields[1])):
+        done = {"ford": "forded", "merge": "merged"}[what]
         return f"{done} module differs from golden"
     return None
 
@@ -301,7 +301,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suffix", default="F")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_transform, transform=_ford, exit_code=EXIT_FORD)
+    sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("merge", help="merge datatypes into one family")
     sp.add_argument("path")
@@ -311,7 +311,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="add an axiomatic identity between two tags")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_transform, transform=_merge, exit_code=EXIT_MERGE)
+    sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("corpus", help="run a corpus manifest")
     sp.add_argument("manifest")

@@ -2,13 +2,16 @@
 values read back (`quote`) to named terms, and conversion compares values
 head by head.
 
-A value is a rigid spine (a variable, constructor, datatype, axiom,
-universe, refl, or a function call that cannot fire, applied to argument
-values), a `Lam` or `Pi` closure over an environment, an identity type, or
-a neutral `J` applied to argument values. Evaluation is call-by-value: the
-arguments of a spine evaluate before its head. Tail positions (β, `J` on
-`refl`, a fired clause) continue in a loop, so a chain of unfoldings spends
-the step budget instead of the interpreter stack.
+A value has one of two shapes. A `VLam` is a closure: a binder and a body
+over an environment. A `VRigid` is a head that does not compute applied to
+a tuple of argument values; besides the usual heads (a variable,
+constructor, datatype, axiom, universe, `refl`, or a function call that
+cannot fire) its head may be one of the term classes `IdType`, `JElim` and
+`Pi`, whose arguments are the node's own subterms as values (see
+`VRigid`). Evaluation is call-by-value: the arguments of a spine evaluate
+before its head. Tail positions (β, `J` on `refl`, a fired clause)
+continue in a loop, so a chain of unfoldings spends the step budget
+instead of the interpreter stack.
 
 Clauses fire first-match. A neutral scrutinee never skips a clause: if a
 pattern requires a constructor and the value has a neutral head, the whole
@@ -36,10 +39,19 @@ _STUCK = "stuck"
 
 
 class VRigid:
-    """A head that does not compute, applied to argument values."""
+    """A head that does not compute, applied to a tuple of argument values.
+
+    The head is a term, or one of three term classes whose arguments stand
+    for the node's subterms:
+
+    - `IdType`: the carrier, then the two endpoints;
+    - `JElim`: the motive, the base and a path that is not `refl`, then the
+      arguments the `J` is applied to;
+    - `Pi`: the domain, then the codomain as a `VLam` over the binder.
+    """
     __slots__ = ("head", "args")
 
-    def __init__(self, head: Term, args: tuple = ()):
+    def __init__(self, head: Term | type, args: tuple = ()):
         self.head, self.args = head, args
 
 
@@ -50,35 +62,20 @@ class VLam:
         self.binder, self.body, self.env = binder, body, env
 
 
-class VPi:
-    __slots__ = ("binder", "domain", "body", "env")
-
-    def __init__(self, binder: str, domain, body: Term, env: dict):
-        # `body` is the codomain, a term over `binder` and `env`
-        self.binder, self.domain, self.body, self.env = binder, domain, body, env
-
-
-class VId:
-    __slots__ = ("carrier", "lhs", "rhs")
-
-    def __init__(self, carrier, lhs, rhs):
-        self.carrier, self.lhs, self.rhs = carrier, lhs, rhs
-
-
-class VJ:
-    """`J` on a path that is not `refl`, applied to argument values."""
-    __slots__ = ("motive", "base", "path", "args")
-
-    def __init__(self, motive, base, path, args: tuple = ()):
-        self.motive, self.base, self.path, self.args = motive, base, path, args
-
-
-Value = VRigid | VLam | VPi | VId | VJ
+Value = VRigid | VLam
 Env = dict[str, Value]
 
 
 def _jspine(m: Term, b: Term, p: Term, *args: Term) -> Term:
     return mk_app(JElim(m, b, p), *args)
+
+
+def _pi(domain: Term, lam: Lam) -> Term:
+    return Pi(lam.binder, domain, lam.body)
+
+
+# how `quote` rebuilds the node of a class head from its read-back arguments
+_REBUILD = {IdType: IdType, JElim: _jspine, Pi: _pi}
 
 
 class Normalizer:
@@ -123,21 +120,12 @@ class Normalizer:
                 if u.head != v.head or len(u.args) != len(v.args):
                     return False
                 work.extend(zip(u.args, v.args))
-            elif isinstance(u, (VLam, VPi)):
-                if isinstance(u, VPi):
-                    work.append((u.domain, v.domain))
+            else:
                 # '#' never occurs in a parsed or generated name
                 x = VRigid(Var(f"#{fresh}"))
                 fresh += 1
                 work.append((on(0, self.instantiate, u, x),
                              on(1, self.instantiate, v, x)))
-            elif isinstance(u, VId):
-                work += [(u.carrier, v.carrier), (u.lhs, v.lhs), (u.rhs, v.rhs)]
-            else:
-                if len(u.args) != len(v.args):
-                    return False
-                work += [(u.motive, v.motive), (u.base, v.base),
-                         (u.path, v.path), *zip(u.args, v.args)]
         return True
 
     def _step(self):
@@ -148,7 +136,7 @@ class Normalizer:
 
     # -- evaluation ------------------------------------------------------------
 
-    def instantiate(self, clo: VLam | VPi, v: Value) -> Value:
+    def instantiate(self, clo: VLam, v: Value) -> Value:
         return self.eval(clo.body, {**clo.env, clo.binder: v})
 
     def eval(self, t: Term, env: Env) -> Value:
@@ -167,14 +155,10 @@ class Normalizer:
                 if isinstance(v, VLam):
                     self._step()
                     t, env, args = v.body, {**v.env, v.binder: args[0]}, args[1:]
-                elif isinstance(v, VRigid) and isinstance(v.head, FunRef):
+                elif isinstance(v.head, FunRef):
                     t, args = v.head, [*v.args, *args]  # may now be saturated
-                elif isinstance(v, VRigid):
-                    return VRigid(v.head, v.args + tuple(args))
-                elif isinstance(v, VJ):
-                    return VJ(v.motive, v.base, v.path, v.args + tuple(args))
                 else:
-                    raise AssertionError(f"cannot apply {type(v).__name__}")
+                    return VRigid(v.head, v.args + tuple(args))
             elif cls is Lam:
                 if not args:
                     return VLam(t.binder, t.body, env)
@@ -193,15 +177,17 @@ class Normalizer:
             elif cls is JElim:
                 path = self.eval(t.path, env)
                 if not (isinstance(path, VRigid) and isinstance(path.head, Refl)):
-                    return VJ(self.eval(t.motive, env), self.eval(t.base, env),
-                              path, tuple(args))
+                    return VRigid(JElim, (self.eval(t.motive, env),
+                                          self.eval(t.base, env), path, *args))
                 self._step()
                 t = t.base
             elif cls is Pi:
-                return VPi(t.binder, self.eval(t.domain, env), t.codomain, env)
+                return VRigid(Pi, (self.eval(t.domain, env),
+                                   VLam(t.binder, t.codomain, env)))
             elif cls is IdType:
-                return VId(self.eval(t.carrier, env), self.eval(t.lhs, env),
-                           self.eval(t.rhs, env))
+                return VRigid(IdType, (self.eval(t.carrier, env),
+                                       self.eval(t.lhs, env),
+                                       self.eval(t.rhs, env)))
             else:  # constructor, datatype, axiom, universe, refl
                 return VRigid(t, tuple(args))
 
@@ -271,28 +257,22 @@ class Normalizer:
         while todo:
             item = todo.pop()
             if isinstance(item, VRigid):
+                head = item.head
                 if item.args:
-                    todo.append((partial(mk_app, item.head), len(item.args), None))
+                    make = (_REBUILD[head] if type(head) is type
+                            else partial(mk_app, head))
+                    todo.append((make, len(item.args), None))
                     todo.extend(reversed(item.args))
                 else:
-                    out.append(item.head)
-            elif isinstance(item, (VLam, VPi)):
+                    out.append(head)
+            elif isinstance(item, VLam):
                 if scope is None:
                     scope = set(free_vars(source))
                 name = item.binder
                 if name in scope:
                     name = fresh_name(name, scope)
                 leave = None if name == "_" else name
-                if isinstance(item, VLam):
-                    todo += [(partial(Lam, name), 1, leave), (item, name)]
-                else:
-                    todo += [(partial(Pi, name), 2, leave), (item, name),
-                             item.domain]
-            elif isinstance(item, VId):
-                todo += [(IdType, 3, None), item.rhs, item.lhs, item.carrier]
-            elif isinstance(item, VJ):
-                todo.append((_jspine, 3 + len(item.args), None))
-                todo += reversed((item.motive, item.base, item.path, *item.args))
+                todo += [(partial(Lam, name), 1, leave), (item, name)]
             elif len(item) == 2:
                 clo, name = item
                 if name != "_":

@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import stat
 import sys
 
 import pytest
@@ -98,6 +100,29 @@ def test_merge_with_path_flag(tmp_path, capsys):
         {"name": "path", "lhs": "Int_tag", "rhs": "Int_tag"}]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_new_out_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    out = tmp_path / "so.out.fda"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "ford", cp("so.fda"), "--data", "So",
+                         "--out", str(out))
+    finally:
+        os.umask(old)
+    assert code == 0 and stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+def test_overwritten_out_file_keeps_its_mode(tmp_path, capsys):
+    out = tmp_path / "m.fda"
+    out.write_text("old\n")
+    out.chmod(0o604)
+    code, _, _ = run(capsys, "merge", cp("d1d2.fda"), "--types", "D1,D2",
+                     "--out", str(out))
+    assert code == 0
+    assert out.read_text() == (CORPUS / "d1d2.merged.golden.fda").read_text()
+    assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+
 @pytest.mark.parametrize("source, extra, message", [
     ("data D1 | a\n\ndata D1_tag | q\n", [],
      "{}:1:1: generated tag 'D1_tag' collides with an existing name"),
@@ -173,6 +198,24 @@ def test_corpus_wrong_field_count_fails_the_case(tmp_path, capsys):
         "check takes the fields <input>, got 2",
         "golden takes the fields <input> <golden>, got 1",
         "ford-error takes the fields <input> <data>, got 3"]
+
+
+def test_corpus_transform_cases_share_the_cli_path(tmp_path, capsys):
+    mf = tmp_path / "manifest.txt"
+    mf.write_text(f"ford-error {cp('vec.fda')} Vec\n"
+                  f"merge-error {cp('d1d2.fda')} D1,D2\n"
+                  f"ford {cp('bool.fda')} {cp('so.forded.golden.fda')} Bool\n"
+                  f"ford {cp('so.fda')} {cp('vec.forded.golden.fda')} So\n"
+                  f"merge {cp('bool.fda')} {cp('nat.merged.golden.fda')} Bool\n")
+    code, out, _ = run(capsys, "corpus", str(mf))
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert code == 1 and out.endswith("0 passed, 5 failed\n")
+    assert [f.split(": ", 1)[1] for f in fails] == [
+        "expected the ford transform to be rejected",
+        "expected the merge transform to be rejected",
+        "ford failed: datatype Bool has no indices to ford",
+        "forded module differs from golden",
+        "merged module differs from golden"]
 
 
 def test_ford_suffix_must_give_an_identifier(capsys):
@@ -403,6 +446,18 @@ def test_transform_reusing_a_shared_ctor_name_still_clashes(monkeypatch,
     code, _, err = run(capsys, "ford", cp("vec.forded.golden.fda"),
                        "--data", "Vec")
     assert code == 1 and "E-NAME-CLASH" in err and "'nil'" in err
+
+
+
+def test_corpus_error_case_rechecks_the_transform_output(monkeypatch,
+                                                         tmp_path, capsys):
+    fake_ford(monkeypatch, parse(corpus_text("vec.fda")
+                                 + "\ndef bad : Nat => refl\n"))
+    mf = tmp_path / "manifest.txt"
+    mf.write_text(f"ford-error {cp('vec.fda')} Vec\n")
+    code, out, _ = run(capsys, "corpus", str(mf))
+    assert code == 1 and out.endswith("0 passed, 1 failed\n")
+    assert out.startswith(f"FAIL ford-error   {cp('vec.fda')}: ford failed: ")
 
 
 MERGE_BETWEEN = """\

@@ -173,6 +173,31 @@ def test_j_computes_on_refl():
     assert alpha_eq(normalize(sig, t), pt(sig, "zero"))
 
 
+J_NAMED_MOTIVE = """
+data Nat
+  | zero
+  | suc (n : Nat)
+
+def Mot {} : Type0 => Nat
+
+def t (y : Nat) (p : Id Nat zero y) : Mot {} => J Mot zero p
+"""
+
+
+def test_j_with_a_named_motive():
+    check_module(parse(J_NAMED_MOTIVE.format(
+        "(z : Nat) (q : Id Nat zero z)", "y p")))
+
+
+def test_j_with_a_one_argument_named_motive_rejected():
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(parse(J_NAMED_MOTIVE.format("(z : Nat)", "y")))
+    assert ei.value.code == "E-TYPE"
+    assert ei.value.message == (
+        "J motive has type Nat -> Type0, expected a two-argument family over "
+        "Nat and an identity type")
+
+
 def test_normalization_idempotent_on_function_bodies():
     for name in ["zu.fda", "vec.fda", "helix.fda"]:
         _, sig = load_checked(name)
@@ -241,6 +266,40 @@ axiom f : Nat -> Nat
     assert not convertible(sig, eta, AxiomRef("f"))
     assert not convertible(sig, AxiomRef("f"), eta)
     assert convertible(sig, eta, Lam("y", App(AxiomRef("f"), Var("y"))))
+
+
+# -- applying a function-typed variable: a closure, a partial call, a stuck J
+
+APP = PLUS_MULT + """
+def app (f : Nat -> Nat) (x : Nat) : Nat => f x
+"""
+
+STUCK_J = "J (\\z q => Nat -> Nat) (\\n => {}) p"
+
+
+def refl_proves(lhs: str, rhs: str, binders: str = ""):
+    check_module(parse(APP + f"\ndef t {binders}: Id Nat ({lhs}) ({rhs})"
+                             " => refl\n"))
+
+
+def test_applied_variable_bound_to_a_closure_reduces():
+    refl_proves("app (\\x => suc x) zero", "suc zero")
+
+
+def test_applied_variable_bound_to_a_partial_call_fires_it():
+    refl_proves("app (plus (suc zero)) zero", "suc zero")
+
+
+def test_applied_variable_bound_to_a_stuck_j_extends_its_spine():
+    binders = "(y : Nat) (p : Id Nat zero y) "
+    lhs = f"app ({STUCK_J.format('n')}) zero"
+    refl_proves(lhs, f"{STUCK_J.format('n')} zero", binders)
+    with pytest.raises(TypeCheckError) as ei:
+        refl_proves(lhs, f"{STUCK_J.format('suc n')} zero", binders)
+    assert ei.value.code == "E-TYPE"
+    assert ei.value.message == (
+        "refl endpoints differ: expected J (\\z q => Nat -> Nat) (\\n => n) "
+        "p zero, got J (\\z q => Nat -> Nat) (\\n => suc n) p zero")
 
 
 # -- convertibility --------------------------------------------------------------
