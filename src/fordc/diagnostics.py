@@ -101,9 +101,6 @@ class ScopeError(ParseError):
 
     code = "E-SCOPE"
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(message, line, col)
-
 
 class TypeCheckError(FordcError):
     code = "E-TYPE"

@@ -20,8 +20,8 @@ from .diagnostics import CoverageError, FordcError, TypeCheckError
 from .normalize import DEFAULT_STEP_BUDGET, Normalizer
 from .parser import NameEnv, parse
 from .printer import print_pattern, print_term
-from .signature import (AxiomInfo, CtorInfo, DataInfo, FunInfo, Signature,
-                        telescope_pi, telescope_vars)
+from .signature import (CtorInfo, DataInfo, FunInfo, Signature, telescope_pi,
+                        telescope_vars)
 from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
                     JElim, Lam, Pi, Refl, Term, Univ, Var, data_refs,
                     free_vars, fresh_name, mk_app, spine, spines, subst_term)
@@ -217,13 +217,19 @@ class Checker:
     def _declare(self, d: DataDecl) -> Ctx:
         """Check a datatype's header and add it to the signature; returns
         the context of its parameters."""
-        for b in d.params + d.indices:
-            if d.name in data_refs(b.type):
-                raise TypeCheckError(
-                    f"data {d.name}: {d.name} cannot appear in its own "
-                    "parameters or indices", loc=d.loc)
-        pctx = self.check_telescope({}, d.params, f"data {d.name} parameters")
-        self.check_telescope(pctx, d.indices, f"data {d.name} indices")
+        try:
+            for b in d.params + d.indices:
+                if d.name in data_refs(b.type):
+                    raise TypeCheckError(
+                        f"data {d.name}: {d.name} cannot appear in its own "
+                        "parameters or indices")
+            pctx = self.check_telescope({}, d.params,
+                                        f"data {d.name} parameters")
+            self.check_telescope(pctx, d.indices, f"data {d.name} indices")
+        except TypeCheckError as e:
+            if e.loc is None:
+                e.loc = d.loc
+            raise
         self.sig.add_data(DataInfo(d, d.params, d.indices))
         return pctx
 
@@ -234,43 +240,47 @@ class Checker:
 
     def _check_ctor(self, d: DataDecl, c, pctx: Ctx,
                     group: set[str]) -> CtorInfo:
-        if c.is_path:
-            self.check_is_type(pctx, c.path_type)
-            tail = c.path_type
-            while isinstance(tail, Pi):
-                tail = tail.codomain
-            if not isinstance(tail, IdType):
+        try:
+            if c.is_path:
+                self.check_is_type(pctx, c.path_type)
+                tail = c.path_type
+                while isinstance(tail, Pi):
+                    tail = tail.codomain
+                if not isinstance(tail, IdType):
+                    raise TypeCheckError(f"path constructor {c.name} must "
+                                         "target an identity type")
+                return CtorInfo(d.name, c.name, is_path=True,
+                                type=telescope_pi(d.params, c.path_type))
+            if len(c.availability) != len(d.indices):
                 raise TypeCheckError(
-                    f"path constructor {c.name} must target an identity type",
-                    loc=c.loc)
-            return CtorInfo(d.name, c.name, is_path=True,
-                            type=telescope_pi(d.params, c.path_type))
-        if len(c.availability) != len(d.indices):
-            raise TypeCheckError(
-                f"constructor {c.name}: availability row has "
-                f"{len(c.availability)} patterns but {d.name} has "
-                f"{len(d.indices)} indices", code="E-ARITY", loc=c.loc)
-        patvars: list[Binder] = []
-        avail_terms, avail_pats = self._elab_avail_seq(
-            d.indices, d.indices, c.availability, patvars, pctx, c)
-        actx = dict(pctx)
-        for b in patvars:
-            actx[b.name] = b.type
-        args: list[Binder] = []
-        for b in c.args:
-            if b.name in actx:
-                raise TypeCheckError(
-                    f"constructor {c.name}: argument {b.name!r} shadows an "
-                    "earlier binder", code="E-NAME-CLASH", loc=c.loc)
-            self.check_is_type(actx, b.type)
-            self._check_positive(b.type, group, f"{d.name}.{c.name}", c.loc)
-            actx[b.name] = b.type
-            args.append(b)
-        result = self.sig.data_applied(d.name, telescope_vars(d.params),
-                                       list(avail_terms))
-        full = telescope_pi(tuple(list(d.params) + patvars + args), result)
-        return CtorInfo(d.name, c.name, tuple(patvars), tuple(args),
-                        tuple(avail_pats), tuple(avail_terms), False, full)
+                    f"constructor {c.name}: availability row has "
+                    f"{len(c.availability)} patterns but {d.name} has "
+                    f"{len(d.indices)} indices", code="E-ARITY")
+            patvars: list[Binder] = []
+            avail_terms, avail_pats = self._elab_avail_seq(
+                d.indices, d.indices, c.availability, patvars, pctx, c)
+            actx = dict(pctx)
+            for b in patvars:
+                actx[b.name] = b.type
+            args: list[Binder] = []
+            for b in c.args:
+                if b.name in actx:
+                    raise TypeCheckError(
+                        f"constructor {c.name}: argument {b.name!r} shadows "
+                        "an earlier binder", code="E-NAME-CLASH")
+                self.check_is_type(actx, b.type)
+                self._check_positive(b.type, group, f"{d.name}.{c.name}")
+                actx[b.name] = b.type
+                args.append(b)
+            result = self.sig.data_applied(d.name, telescope_vars(d.params),
+                                           list(avail_terms))
+            full = telescope_pi(tuple(list(d.params) + patvars + args), result)
+            return CtorInfo(d.name, c.name, tuple(patvars), tuple(args),
+                            tuple(avail_pats), tuple(avail_terms), False, full)
+        except TypeCheckError as e:
+            if e.loc is None:
+                e.loc = c.loc
+            raise
 
     def _elab_avail_seq(self, tele, own, pats, patvars: list[Binder],
                         pctx: Ctx, c):
@@ -295,7 +305,7 @@ class Checker:
                 if x in pctx:
                     raise TypeCheckError(
                         f"constructor {c.name}: row variable {x!r} shadows a "
-                        "parameter", code="E-NAME-CLASH", loc=c.loc)
+                        "parameter", code="E-NAME-CLASH")
                 name = fresh_name(base, pctx, {b.name for b in patvars},
                                   self.sig.all_names()) if x == "_" else x
                 patvars.append(Binder(name, expected))
@@ -305,20 +315,19 @@ class Checker:
                 if split is None or split[0].decl.name != dn:
                     raise TypeCheckError(
                         f"constructor {c.name}: pattern head {cn} does not "
-                        f"construct {print_term(expected)}", loc=c.loc)
+                        f"construct {print_term(expected)}")
                 dinfo, us, vs = split
                 if vs:
                     raise TypeCheckError(
                         f"constructor {c.name}: availability patterns over "
-                        f"the indexed datatype {dn} are not supported",
-                        loc=c.loc)
+                        f"the indexed datatype {dn} are not supported")
                 cinfo = dinfo.ctors[cn]
                 slots, _, _ = self.sig.ctor_slots(cinfo, us, pctx)
                 if len(subs) != len(slots):
                     raise TypeCheckError(
                         f"constructor {c.name}: pattern {cn} takes "
                         f"{len(slots)} arguments, given {len(subs)}",
-                        code="E-ARITY", loc=c.loc)
+                        code="E-ARITY")
                 sub_terms, sub_pats = self._elab_avail_seq(
                     slots, cinfo.patvars + cinfo.args, subs, patvars, pctx, c)
                 return (mk_app(CtorRef(dn, cn), *us, *sub_terms),
@@ -332,17 +341,16 @@ class Checker:
             case PatRefl():
                 raise TypeCheckError(
                     f"constructor {c.name}: refl is not supported in "
-                    "availability rows", loc=c.loc)
+                    "availability rows")
         raise AssertionError(f"unknown pattern {pat!r}")
 
-    def _check_positive(self, ty: Term, group: set[str], where: str,
-                        loc) -> None:
+    def _check_positive(self, ty: Term, group: set[str], where: str) -> None:
         def no_occ(t: Term):
             hit = data_refs(t) & group
             if hit:
                 raise TypeCheckError(
                     f"{where}: {sorted(hit)[0]} occurs in a negative "
-                    "position", code="E-POSITIVITY", loc=loc)
+                    "position", code="E-POSITIVITY")
 
         def positive(t: Term):
             if isinstance(t, Pi):
@@ -375,12 +383,12 @@ class Checker:
 
     def check_axiom(self, a: AxiomDecl):
         self.check_is_type({}, a.type)
-        self.sig.add_axiom(AxiomInfo(a.name, a.type))
+        self.sig.add_axiom(a)
 
     def check_fun(self, f: FunDecl):
         ctx = self.check_telescope({}, f.binders, f"def {f.name}")
         self.check_is_type(ctx, f.ret)
-        info = FunInfo(f.name, f.binders, f.ret, [], f.partial)
+        info = FunInfo(f.name, f.binders, f.ret, [])
         self.sig.add_fun(info)
         # a single body is the one clause binding every argument
         clauses = list(f.clauses) if f.body is None else [

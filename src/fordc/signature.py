@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .decls import (Binder, Clause, DataDecl, Declaration, MutualBlock,
-                    Pattern, Telescope)
+from .decls import (AxiomDecl, Binder, Clause, DataDecl, Declaration,
+                    MutualBlock, Pattern, Telescope)
 from .parser import NameEnv
 from .terms import (DataRef, Pi, Term, Univ, Var, free_vars, fresh_name,
                     mk_app, spine, subst_term)
@@ -62,14 +62,12 @@ class FunInfo:
     binders: Telescope
     ret: Term
     clauses: list[Clause]
-    partial: bool
 
-    def __init__(self, name, binders, ret, clauses, partial):
+    def __init__(self, name, binders, ret, clauses):
         self.name = name
         self.binders = binders
         self.ret = ret
         self.clauses = clauses
-        self.partial = partial
 
     @property
     def arity(self) -> int:
@@ -79,22 +77,13 @@ class FunInfo:
         return telescope_pi(self.binders, self.ret)
 
 
-class AxiomInfo:
-    name: str
-    type: Term
-
-    def __init__(self, name, type):
-        self.name = name
-        self.type = type
-
-
 class Signature:
     """Grows only through the `add_*` methods, which keep `names` (every
     declaration and constructor name) exact."""
 
     datas: dict[str, DataInfo]
     funs: dict[str, FunInfo]
-    axioms: dict[str, AxiomInfo]
+    axioms: dict[str, AxiomDecl]
     names: set[str]
 
     def __init__(self, datas=None, funs=None, axioms=None, names=None):
@@ -119,9 +108,9 @@ class Signature:
         self.funs[info.name] = info
         self.names.add(info.name)
 
-    def add_axiom(self, info: AxiomInfo):
-        self.axioms[info.name] = info
-        self.names.add(info.name)
+    def add_axiom(self, decl: AxiomDecl):
+        self.axioms[decl.name] = decl
+        self.names.add(decl.name)
 
     def rewind(self, decls: Sequence[Declaration]) -> "Signature":
         """A new signature without what `decls`, the last declarations

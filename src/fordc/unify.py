@@ -1,12 +1,12 @@
-"""First-order index unification.
-
-Rigid-rigid constructor heads decompose, flexible variables solve with an
-occurs check, and anything with a neutral head (a stuck function call, an
-axiom, a path constructor) blocks the problem: matching against such an
-index is reported Stuck, never silently rejected or accepted.
-
-Mismatch is reserved for genuinely distinct rigid constructor heads; an
-occurs-check failure is conservatively Stuck.
+"""First-order index unification (after Cockx, Devriese and Piessens,
+"Pattern matching without K"). Each pair meets four rules in turn:
+- Deletion: an alpha-equal pair is dropped.
+- Solution: a flexible variable, a row variable first when both sides are,
+  is solved by the other side; an occurs-check failure is Stuck.
+- Injectivity and conflict: point constructors and `refl` decompose into
+  their argument pairs, or clash (Mismatch) when the heads differ.
+- Otherwise the pair has a neutral side (a stuck call, an axiom, a path
+  constructor) and is Stuck, never silently rejected or accepted.
 """
 
 from __future__ import annotations
@@ -44,64 +44,47 @@ UnifyResult = UnifySuccess | UnifyMismatch | UnifyStuck
 
 
 def _rigid_ctor(sig: Signature, t: Term):
-    """Point-constructor spine (head, args), or None."""
+    """(head, args) of a point-constructor spine or of `refl`, or None."""
+    if isinstance(t, Refl):
+        return t, ()
     head, args = spine(t)
     if isinstance(head, CtorRef) and not sig.ctor(head.data, head.name).is_path:
         return head, args
     return None
 
 
+def _flex(t: Term, flex_row: set[str], flex_ctx: set[str]) -> int:
+    """2 for a row variable, 1 for another flexible variable, else 0."""
+    name = t.name if isinstance(t, Var) else None
+    return 2 if name in flex_row else int(name in flex_ctx)
+
+
 def unify_terms(sig: Signature, nrm: Normalizer,
                 pairs: list[tuple[Term, Term]],
                 flex_row: set[str], flex_ctx: set[str]) -> UnifyResult:
-    """Solve pairs left to right; solutions on row variables are preferred
-    when both sides are flexible."""
+    """Apply the rules to `pairs`, left to right."""
     sub: dict[str, Term] = {}
     work = list(pairs)
-
-    def solve(x: str, t: Term) -> UnifyResult | None:
-        if x in free_vars(t):
-            return UnifyStuck(t)
-        for k in list(sub):
-            sub[k] = subst_term(sub[k], {x: t})
-        sub[x] = t
-        return None
-
     while work:
         a, b = work.pop(0)
         a = nrm.normalize(subst_term(a, sub))
         b = nrm.normalize(subst_term(b, sub))
         if alpha_eq(a, b):
             continue
-        a_var = a.name if isinstance(a, Var) else None
-        b_var = b.name if isinstance(b, Var) else None
-        a_flex = a_var is not None and (a_var in flex_row or a_var in flex_ctx)
-        b_flex = b_var is not None and (b_var in flex_row or b_var in flex_ctx)
-        if a_flex and b_flex:
-            # tie-break toward the availability-row variable
-            if b_var in flex_row and a_var not in flex_row:
-                a, b = b, a
-                a_var = a.name
-            fail = solve(a_var, b)
-        elif a_flex:
-            fail = solve(a_var, b)
-        elif b_flex:
-            fail = solve(b_var, a)
-        else:
-            ra, rb = _rigid_ctor(sig, a), _rigid_ctor(sig, b)
-            if ra and rb:
-                (ha, aas), (hb, bas) = ra, rb
-                if (ha.data, ha.name) != (hb.data, hb.name) or len(aas) != len(bas):
-                    return UnifyMismatch(a, b)
-                work = list(zip(aas, bas)) + work
-            elif isinstance(a, Refl) and isinstance(b, Refl):
-                continue
-            elif (ra or isinstance(a, Refl)) and (rb or isinstance(b, Refl)):
-                return UnifyMismatch(a, b)
-            else:
-                return UnifyStuck(b if ra or isinstance(a, Refl) else a)
-            fail = None
-        if fail is not None:
-            return fail
+        fa, fb = _flex(a, flex_row, flex_ctx), _flex(b, flex_row, flex_ctx)
+        if fb > fa:
+            a, b, fa = b, a, fb
+        if fa:
+            if a.name in free_vars(b):
+                return UnifyStuck(b)
+            for k in sub:
+                sub[k] = subst_term(sub[k], {a.name: b})
+            sub[a.name] = b
+            continue
+        ra, rb = _rigid_ctor(sig, a), _rigid_ctor(sig, b)
+        if not (ra and rb):
+            return UnifyStuck(b if ra else a)
+        if ra[0] != rb[0] or len(ra[1]) != len(rb[1]):
+            return UnifyMismatch(a, b)
+        work[:0] = zip(ra[1], rb[1])
     return UnifySuccess(sub)
-

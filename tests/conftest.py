@@ -47,6 +47,27 @@ def mult (m : Nat) (n : Nat) : Nat
   | (suc k) n => plus n (mult k n)
 """
 
+NAT_BOOL = """\
+data Nat
+  | zero
+  | suc (n : Nat)
+
+data Bool
+  | true
+  | false
+
+"""
+
+# after NAT_BOOL: `cons`, whose row forces its slot to `zero`, matched with
+# the pattern `{}`
+FORCED_SLOT = """\
+data Vec : (n : Nat)
+  | nil [zero]
+  | cons [suc m] (xs : Vec m)
+def g (v : Vec (suc zero)) : Nat
+  | (cons {} xs) => zero
+"""
+
 
 def numeral(k: int) -> str:
     """`k` in unary, as the printer spells it."""

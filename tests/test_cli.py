@@ -13,7 +13,8 @@ from fordc import parser as fordc_parser
 from fordc.cli import main
 from fordc.terms import App, CtorRef, DataRef, Var
 from fordc.node import replace
-from conftest import CORPUS, arith_theorem, corpus_text, load, numeral
+from conftest import (CORPUS, FORCED_SLOT, NAT_BOOL, arith_theorem,
+                      corpus_text, load, numeral)
 
 
 def run(capsys, *argv):
@@ -147,7 +148,11 @@ def test_merge_generated_name_clashes(tmp_path, capsys, source, extra,
     ("data Bool | true | false\n", ["ford", "--data", "Bool"], 4,
      "error[E-FORD-NO-INDICES] {}:1:1: datatype Bool has no indices to "
      "ford"),
-], ids=["merge", "ford"])
+    (NAT_BOOL + "data W : (n : Nat)\n  | w [zero]\n",
+     ["merge", "--types", "W"], 5,
+     "error[E-MERGE-BLOCK] {}:9:1: block member W is indexed; only plain "
+     "datatypes can be merged"),
+], ids=["merge", "ford", "merge-indexed"])
 def test_transform_rejection_is_located_at_the_declaration(
         tmp_path, capsys, source, argv, exit_code, expected):
     path = tmp_path / "in.fda"
@@ -155,6 +160,69 @@ def test_transform_rejection_is_located_at_the_declaration(
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (exit_code, "")
     assert err == expected.format(path) + "\n"
+
+
+
+@pytest.mark.parametrize("decls, expected", [
+    ("data D\n  | c (x : Nat Nat)\n",
+     "error[E-TYPE] {}:6:3: application head: expected ? -> ?, got Type0"),
+    ("data P : (n : Nat)\n  | mk [.(suc Nat)]\n",
+     "error[E-TYPE] {}:6:3: type mismatch: expected Nat, got Type0"),
+    ("data I\n  | a\n  | b\n  | seg : Id Nat a b\n",
+     "error[E-TYPE] {}:8:3: type mismatch: expected Nat, got I"),
+    ("mutual\ndata A : (n : Nat)\n  | ma\ndata B : (n : Nat Nat)\n  | mb\n"
+     "end\n",
+     "error[E-TYPE] {}:8:1: application head: expected ? -> ?, got Type0"),
+], ids=["ctor-arg", "row-inaccessible", "path-ctor", "mutual-header"])
+def test_error_inside_a_row_or_member_points_at_it(tmp_path, capsys, decls,
+                                                   expected):
+    path = tmp_path / "in.fda"
+    path.write_text("data Nat\n  | zero\n  | suc (n : Nat)\n\n" + decls)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err == expected.format(path) + "\n"
+
+
+@pytest.mark.parametrize("decls, expected", [
+    ("data P : (n : Nat)\n  | mk [true]\n",
+     "error[E-TYPE] {}:10:3: constructor mk: pattern head true does not "
+     "construct Nat"),
+    ("data V : (n : Nat)\n  | vn [zero]\n\ndata Q : (v : V zero)\n"
+     "  | mq [vn]\n",
+     "error[E-TYPE] {}:13:3: constructor mq: availability patterns over the "
+     "indexed datatype V are not supported"),
+    ("data P : (n : Nat)\n  | mk [suc]\n",
+     "error[E-ARITY] {}:10:3: constructor mk: pattern suc takes 1 arguments, "
+     "given 0"),
+    ("data E : (b : Bool) (p : Id Bool b b)\n  | me [true, refl]\n",
+     "error[E-TYPE] {}:10:3: constructor me: refl is not supported in "
+     "availability rows"),
+    ("data P : (m : Nat) (n : Nat)\n  | mk [m, .(suc m)]\n\n"
+     "def t : P zero (suc zero) => mk zero\n", None),
+    ("def f (n : Nat) : Nat\n  | true => zero\n",
+     "error[E-TYPE] {}:10:3: pattern Bool.true cannot match a scrutinee of "
+     "type Nat"),
+    ("def f (n : Nat) : Nat\n  | (suc) => zero\n",
+     "error[E-ARITY] {}:10:3: pattern suc takes 1 arguments (row variables "
+     "first), given 0"),
+    ("def f (n : Nat) : Nat\n  | refl => zero\n",
+     "error[E-TYPE] {}:10:3: refl pattern against non-identity type Nat"),
+    (FORCED_SLOT.format("(suc k)"),
+     "error[E-TYPE] {}:13:3: pattern suc k at a position forced to zero is "
+     "not supported"),
+    (FORCED_SLOT.format(".(zero)"), None),
+], ids=["row-head", "row-indexed", "row-arity", "row-refl", "row-inaccessible",
+        "clause-head", "clause-arity", "clause-refl", "forced-ctor",
+        "forced-inaccessible"])
+def test_checker_rejections_keep_their_text(tmp_path, capsys, decls,
+                                            expected):
+    path = tmp_path / "in.fda"
+    path.write_text(NAT_BOOL + decls)
+    code, out, err = run(capsys, "check", str(path))
+    if expected is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (1, "", expected.format(path) + "\n")
 
 
 def test_cli_output_deterministic(tmp_path, capsys):

@@ -366,6 +366,50 @@ def test_unify_success_substitution_is_sound():
     assert convertible(sig, res.subst["n"], pt(sig, "suc zero"))
 
 
+@pytest.fixture(scope="module")
+def nat_f():
+    """`Nat` plus an axiom `f : Nat -> Nat`, whose calls never compute."""
+    return check_module(parse(corpus_text("nat.fda")
+                              + "\naxiom f : Nat -> Nat\n"))
+
+
+@pytest.mark.parametrize("x_left", [True, False])
+def test_unify_occurs_check_is_stuck(nat_f, x_left):
+    x, sx = Var("x"), pt(nat_f, "suc x", locals_=("x",))
+    res = unify(nat_f, [(x, sx) if x_left else (sx, x)], flex_ctx={"x"})
+    assert isinstance(res, UnifyStuck)
+    assert print_term(res.blocker) == "suc x"
+
+
+def test_unify_composes_solutions(nat_f):
+    res = unify(nat_f, [(Var("x"), pt(nat_f, "suc y", locals_=("y",))),
+                        (Var("y"), pt(nat_f, "zero"))], flex_ctx={"x", "y"})
+    assert isinstance(res, UnifySuccess)
+    assert res.subst == {"x": pt(nat_f, "suc zero"), "y": pt(nat_f, "zero")}
+
+
+@pytest.mark.parametrize("refl_left", [True, False])
+def test_unify_refl_clashes_with_a_constructor(nat_f, refl_left):
+    pair = (REFL, pt(nat_f, "zero"))
+    pair = pair if refl_left else pair[::-1]
+    res = unify(nat_f, [pair])
+    assert isinstance(res, UnifyMismatch)
+    assert (res.lhs, res.rhs) == pair
+
+
+@pytest.mark.parametrize("call_left", [True, False])
+def test_unify_stuck_on_an_axiom_call_on_either_side(nat_f, call_left):
+    pair = (pt(nat_f, "f zero"), pt(nat_f, "zero"))
+    res = unify(nat_f, [pair if call_left else pair[::-1]])
+    assert isinstance(res, UnifyStuck)
+    assert print_term(res.blocker) == "f zero"
+
+
+def test_unify_refl_with_refl(nat_f):
+    res = unify(nat_f, [(REFL, REFL)])
+    assert isinstance(res, UnifySuccess) and res.subst == {}
+
+
 def test_split_clash_names_the_freshened_row_variable():
     m = parse(corpus_text("vec.fda")
               + "\ndef headZ (A : Type0) (v : Vec A zero) : A\n"

@@ -1,7 +1,7 @@
 import pytest
 
 from fordc import parse, parse_term_text, prelude_signature, print_module, print_term
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, FORCED_SLOT, NAT_BOOL, corpus_text
 
 
 ALL_FDA = sorted(p.name for p in CORPUS.glob("*.fda"))
@@ -16,6 +16,15 @@ def test_print_parse_round_trip(name):
     # fixed point of parse-then-print
     assert print_module(again) == text
     assert again == m  # corpus sources are canonical; names survive
+
+
+@pytest.mark.parametrize("pat", ["(suc k)", ".(zero)"],
+                         ids=["ctor", "inaccessible"])
+def test_forced_slot_clauses_round_trip(pat):
+    m = parse(NAT_BOOL + FORCED_SLOT.format(pat))
+    text = print_module(m)
+    assert f"(cons {pat} xs)" in text
+    assert print_module(parse(text)) == text and parse(text) == m
 
 
 def test_so_golden_byte_exact():
