@@ -226,7 +226,7 @@ class Checker:
             pctx = self.check_telescope({}, d.params,
                                         f"data {d.name} parameters")
             self.check_telescope(pctx, d.indices, f"data {d.name} indices")
-        except TypeCheckError as e:
+        except FordcError as e:
             if e.loc is None:
                 e.loc = d.loc
             raise
@@ -277,7 +277,7 @@ class Checker:
             full = telescope_pi(tuple(list(d.params) + patvars + args), result)
             return CtorInfo(d.name, c.name, tuple(patvars), tuple(args),
                             tuple(avail_pats), tuple(avail_terms), False, full)
-        except TypeCheckError as e:
+        except FordcError as e:
             if e.loc is None:
                 e.loc = c.loc
             raise
@@ -439,7 +439,7 @@ class Checker:
             st.resolve_inaccessible()
             ret = subst_term(f.ret, st.binder_map)
             self.check(st.ctx, st.current(clause.rhs), ret)
-        except TypeCheckError as e:
+        except FordcError as e:
             if e.loc is None:
                 e.loc = clause.loc
             raise

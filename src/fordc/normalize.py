@@ -9,9 +9,10 @@ constructor, datatype, axiom, universe, `refl`, or a function call that
 cannot fire) its head may be one of the term classes `IdType`, `JElim` and
 `Pi`, whose arguments are the node's own subterms as values (see
 `VRigid`). Evaluation is call-by-value: the arguments of a spine evaluate
-before its head. Tail positions (β, `J` on `refl`, a fired clause)
-continue in a loop, so a chain of unfoldings spends the step budget
-instead of the interpreter stack.
+before its head. Every position, tail or not, runs on the explicit stack
+of `Normalizer.eval`, so deep evaluation spends the step budget and heap,
+not the interpreter stack; only `_match` recurses, to the depth of the
+written pattern.
 
 Clauses fire first-match. A neutral scrutinee never skips a clause: if a
 pattern requires a constructor and the value has a neutral head, the whole
@@ -26,16 +27,19 @@ from __future__ import annotations
 
 from functools import partial
 
-from .decls import PatCtor, PatInacc, PatRefl, Pattern, PatVar
+from .decls import PatInacc, PatRefl, Pattern, PatVar
 from .diagnostics import StepBudgetExceeded
-from .signature import FunInfo, Signature
+from .signature import Signature
 from .terms import (App, CtorRef, FunRef, IdType, JElim, Lam, Pi, Refl, Term,
                     Var, free_vars, fresh_name, mk_app, spine)
 
 DEFAULT_STEP_BUDGET = 100000
 
-_NOMATCH = "nomatch"
-_STUCK = "stuck"
+# outcomes of matching a pattern; `|` combines two that are not _NOMATCH
+_OK, _STUCK, _NOMATCH = 0, 1, 2
+
+# frame kinds of `Normalizer.eval`
+_ARGS, _PATH, _PARTS = 0, 1, 2
 
 
 class VRigid:
@@ -140,107 +144,145 @@ class Normalizer:
         return self.eval(clo.body, {**clo.env, clo.binder: v})
 
     def eval(self, t: Term, env: Env) -> Value:
+        """The value of `t` under `env`, computed in one loop over an explicit
+        stack of frames. Each frame is `[kind, terms, vals, env, a, b]`: it
+        evaluates `terms` under `env` left to right into `vals`, then
+        resumes. By kind, it waits for
+
+        - `_ARGS`: the arguments of a spine; then the head `a` runs, applied
+          to `vals` and the pending arguments `b`;
+        - `_PATH`: the path of the `J` node `a`; `refl` fires it, applied to
+          `b`, and any other path pushes a `_PARTS` frame;
+        - `_PARTS`: the parts of a `Pi`, an `Id` or a stuck `J`; then the
+          value is the class head `a` applied to `vals` and the tail `b`.
+        """
+        stack: list[list] = []
         args: list[Value] = []  # pending arguments of the head `t`
         while True:
             cls = type(t)
             if cls is App:
                 t, targs = spine(t)
-                args = [self.eval(a, env) for a in targs] + args
+                stack.append([_ARGS, targs, [], env, t, args])
+                t, args = targs[0], []
+                continue
             elif cls is Var:
                 v = env.get(t.name)
                 if v is None:
-                    return VRigid(t, tuple(args))
-                if not args:
-                    return v
-                if isinstance(v, VLam):
-                    self._step()
-                    t, env, args = v.body, {**v.env, v.binder: args[0]}, args[1:]
-                elif isinstance(v.head, FunRef):
-                    t, args = v.head, [*v.args, *args]  # may now be saturated
-                else:
-                    return VRigid(v.head, v.args + tuple(args))
+                    v = VRigid(t, tuple(args))
+                elif args:
+                    if type(v) is VLam:
+                        self._step()
+                        env = {**v.env, v.binder: args[0]}
+                        t, args = v.body, args[1:]
+                        continue
+                    if type(v.head) is FunRef:
+                        t, args = v.head, [*v.args, *args]  # may now be saturated
+                        continue
+                    v = VRigid(v.head, v.args + tuple(args))
             elif cls is Lam:
-                if not args:
-                    return VLam(t.binder, t.body, env)
-                self._step()
-                t, env, args = t.body, {**env, t.binder: args[0]}, args[1:]
+                if args:
+                    self._step()
+                    t, env, args = t.body, {**env, t.binder: args[0]}, args[1:]
+                    continue
+                v = VLam(t.binder, t.body, env)
             elif cls is FunRef:
-                info = self.sig.funs.get(t.name)
-                if info is None or len(args) < info.arity:
-                    return VRigid(t, tuple(args))
-                fired = self._match_clauses(info, args[:info.arity])
-                if fired is None:
-                    return VRigid(t, tuple(args))
-                self._step()
-                env, t = fired
-                args = args[info.arity:]
+                fired = self._match_clauses(t.name, args)
+                if fired is not None:
+                    self._step()
+                    env, t, args = fired
+                    continue
+                v = VRigid(t, tuple(args))
             elif cls is JElim:
-                path = self.eval(t.path, env)
-                if not (isinstance(path, VRigid) and isinstance(path.head, Refl)):
-                    return VRigid(JElim, (self.eval(t.motive, env),
-                                          self.eval(t.base, env), path, *args))
-                self._step()
-                t = t.base
+                stack.append([_PATH, (t.path,), [], env, t, args])
+                t, args = t.path, []
+                continue
             elif cls is Pi:
-                return VRigid(Pi, (self.eval(t.domain, env),
-                                   VLam(t.binder, t.codomain, env)))
+                stack.append([_PARTS, (t.domain,), [], env, Pi,
+                              (VLam(t.binder, t.codomain, env),)])
+                t, args = t.domain, []
+                continue
             elif cls is IdType:
-                return VRigid(IdType, (self.eval(t.carrier, env),
-                                       self.eval(t.lhs, env),
-                                       self.eval(t.rhs, env)))
+                stack.append([_PARTS, (t.carrier, t.lhs, t.rhs), [], env,
+                              IdType, ()])
+                t, args = t.carrier, []
+                continue
             else:  # constructor, datatype, axiom, universe, refl
-                return VRigid(t, tuple(args))
+                v = VRigid(t, tuple(args))
+            # `v` is a value: hand it to the frames waiting for it
+            while stack:
+                kind, terms, vals, env, a, b = stack[-1]
+                vals.append(v)
+                if len(vals) < len(terms):
+                    t, args = terms[len(vals)], []
+                    break
+                stack.pop()
+                if kind == _ARGS:
+                    t, args = a, vals + b
+                    break
+                if kind == _PARTS:
+                    v = VRigid(a, (*vals, *b))
+                elif type(v) is VRigid and type(v.head) is Refl:  # _PATH
+                    self._step()
+                    t, args = a.base, b
+                    break
+                else:
+                    stack.append([_PARTS, (a.motive, a.base), [], env, JElim,
+                                  (v, *b)])
+                    t, args = a.motive, []
+                    break
+            else:
+                return v
 
-    def _match_clauses(self, info: FunInfo, args: list[Value]):
+    def _match_clauses(self, name: str, args: list[Value]):
+        """`(env, rhs, rest)` for the first clause of the function `name`
+        that matches its arguments, with `rest` the arguments beyond its
+        arity. None when the function is unknown or unsaturated, when no
+        clause matches, or when the first clause that does not fail is
+        stuck: first-match cannot skip past it."""
+        info = self.sig.funs.get(name)
+        if info is None or len(args) < len(info.binders):
+            return None
         for clause in info.clauses:
             env: Env = {}
-            outcome = "ok"
+            stuck = _OK
             for pat, val in zip(clause.pats, args):
                 r = self._match(pat, val, env)
                 if r == _NOMATCH:
-                    outcome = _NOMATCH
                     break
-                if r == _STUCK:
-                    outcome = _STUCK
-            if outcome == "ok":
-                return env, clause.rhs
-            if outcome == _STUCK:
-                return None  # first-match: cannot skip past a stuck clause
+                stuck |= r
+            else:
+                return None if stuck else (env, clause.rhs,
+                                           args[len(info.binders):])
         return None
 
-    def _match(self, pat: Pattern, val: Value, env: Env) -> str:
-        head = val.head if isinstance(val, VRigid) else None
-        match pat:
-            case PatVar(x):
-                if x != "_":
-                    env[x] = val
-                return "ok"
-            case PatInacc(_):
-                return "ok"
-            case PatRefl():
-                return "ok" if isinstance(head, Refl) else _STUCK
-            case PatCtor(d, c, subs):
-                if isinstance(head, CtorRef):
-                    if self.sig.ctor(head.data, head.name).is_path:
-                        return _STUCK
-                    if (head.data, head.name) != (d, c):
-                        return _NOMATCH
-                    n_params = len(self.sig.datas[d].params)
-                    slots = val.args[n_params:]
-                    if len(slots) != len(subs):
-                        return _STUCK
-                    worst = "ok"
-                    for sp, sv in zip(subs, slots):
-                        r = self._match(sp, sv, env)
-                        if r == _NOMATCH:
-                            return _NOMATCH
-                        if r == _STUCK:
-                            worst = _STUCK
-                    return worst
-                if isinstance(head, Refl):
-                    return _NOMATCH
-                return _STUCK
-        raise AssertionError(f"unknown pattern {pat!r}")
+    def _match(self, pat: Pattern, val: Value, env: Env) -> int:
+        cls = type(pat)
+        if cls is PatVar:
+            if pat.name != "_":
+                env[pat.name] = val
+            return _OK
+        if cls is PatInacc:
+            return _OK
+        head = val.head if type(val) is VRigid else None
+        if cls is PatRefl:
+            return _OK if type(head) is Refl else _STUCK
+        if type(head) is not CtorRef:  # `pat` is a PatCtor
+            return _NOMATCH if type(head) is Refl else _STUCK
+        data = self.sig.datas[head.data]
+        if data.ctors[head.name].is_path:
+            return _STUCK
+        if head.name != pat.name or head.data != pat.data:
+            return _NOMATCH
+        slots = val.args[len(data.params):]
+        if len(slots) != len(pat.args):
+            return _STUCK
+        worst = _OK
+        for sp, sv in zip(pat.args, slots):
+            r = self._match(sp, sv, env)
+            if r == _NOMATCH:
+                return _NOMATCH
+            worst |= r
+        return worst
 
     # -- read-back ---------------------------------------------------------------
 

@@ -173,7 +173,17 @@ def test_transform_rejection_is_located_at_the_declaration(
     ("mutual\ndata A : (n : Nat)\n  | ma\ndata B : (n : Nat Nat)\n  | mb\n"
      "end\n",
      "error[E-TYPE] {}:8:1: application head: expected ? -> ?, got Type0"),
-], ids=["ctor-arg", "row-inaccessible", "path-ctor", "mutual-header"])
+    ("partial def spinT (n : Nat) : Type0\n  | n => spinT n\n\n"
+     "data D\n  | c (y : Nat) (x : Id (spinT zero) y y)\n",
+     "error[E-STEP-BUDGET] {}:9:3: normalization exceeded the step budget "
+     "of 100000"),
+    ("partial def spin (n : Nat) : Nat\n  | n => spin n\n\n"
+     "def f (n : Nat) : Id Nat (spin n) zero\n  | zero => refl\n"
+     "  | (suc k) => refl\n",
+     "error[E-STEP-BUDGET] {}:9:3: normalization exceeded the step budget "
+     "of 100000"),
+], ids=["ctor-arg", "row-inaccessible", "path-ctor", "mutual-header",
+        "row-step-budget", "clause-step-budget"])
 def test_error_inside_a_row_or_member_points_at_it(tmp_path, capsys, decls,
                                                    expected):
     path = tmp_path / "in.fda"
@@ -677,8 +687,26 @@ NESTED_LAMBDAS = ("def f : Type0 -> Type0 => " + "(\\x => " * 600 + "x"
                   + ")" * 600 + "\n")
 
 
-@pytest.mark.parametrize("source", [GROW, NESTED_LAMBDAS],
-                         ids=["grow", "nested-lambdas"])
+@pytest.mark.parametrize("argv", [["check"], ["ford", "--data", "Nat"]],
+                         ids=["check", "ford"])
+def test_unbounded_evaluation_runs_out_of_budget(tmp_path, capsys, argv):
+    # `grow zero` unfolds under `suc` in a non-tail position, each unfolding
+    # one frame deeper
+    mod = tmp_path / "grow.fda"
+    mod.write_text(GROW)
+    code, out, err = run(capsys, argv[0], str(mod), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == (f"error[E-STEP-BUDGET] {mod}:9:1: normalization exceeded "
+                   "the step budget of 100000\n")
+
+
+def test_evaluation_ten_thousand_levels_deep_checks(capsys):
+    # `down` leaves one `suc` pending per level of its 10,000-deep argument
+    path = cp("deep/deep-eval.fda")
+    assert run(capsys, "check", path) == (0, f"checked {path}\n", "")
+
+
+@pytest.mark.parametrize("source", [NESTED_LAMBDAS], ids=["nested-lambdas"])
 @pytest.mark.parametrize("argv", [["check"], ["ford", "--data", "Nat"]],
                          ids=["check", "ford"])
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, source,

@@ -7,11 +7,12 @@ from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
                    UnifyStuck, UnifySuccess, canonical_values, check_module,
                    convertible, normalize, parse, parse_term_text,
                    prelude_signature, print_term, unify_terms)
+from fordc import cli
 from fordc.normalize import Normalizer
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, JElim, Lam,
                          Var, alpha_eq, data_refs, mk_app)
 from conftest import (CORPUS, PLUS_MULT, corpus_text, load, load_checked,
-                      mult_term, rename_locals)
+                      mult_term, numeral, rename_locals)
 
 
 def pt(sig, s, **kw):
@@ -238,6 +239,39 @@ def test_mult_steps_counted_per_normalize():
     n = nrm.normalize(pt(sig, mult_term(20, 20)))
     assert nrm.steps == 441  # 21 mult clauses, 20 plus calls of 21 each
     assert unary_value(n) == 400
+
+
+HALF = PLUS_MULT + """
+partial def half (n : Nat) : Nat
+  | zero => zero
+  | (suc zero) => zero
+  | (suc (suc k)) => suc (half k)
+"""
+
+
+@pytest.mark.parametrize("term, steps, normal", [
+    (mult_term(3, 4), 19, numeral(12)),
+    ("plus ((\\x => suc x) (suc zero)) ((\\y => plus y y) (suc zero))", 7,
+     numeral(4)),
+    ("J (\\z q => Nat -> Nat -> Nat) (\\m n => plus m n) refl (suc zero) zero",
+     5, "suc zero"),
+    ("half (suc (suc (suc x)))", 1, "suc (half (suc x))"),
+], ids=["mult", "beta-in-spine", "j-refl-applied", "partial-stuck"])
+def test_normalize_spends_a_pinned_number_of_steps(term, steps, normal):
+    sig = check_module(parse(HALF))
+    nrm = Normalizer(sig)
+    n = nrm.normalize(pt(sig, term, locals_=("x",)))
+    assert (nrm.steps, n) == (steps, pt(sig, normal, locals_=("x",)))
+
+
+def test_a_pinned_step_count_is_the_exact_budget(tmp_path, capsys):
+    mod = tmp_path / "steps.fda"
+    mod.write_text(PLUS_MULT + f"\ndef t : Id Nat ({mult_term(3, 4)}) "
+                               f"({numeral(12)}) => refl\n")
+    assert cli.main(["check", str(mod), "--step-budget", "19"]) == 0
+    assert cli.main(["check", str(mod), "--step-budget", "18"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error[E-STEP-BUDGET] {mod}:13:1: ")
 
 
 def test_deep_normal_form_reads_back_without_recursion_error():
