@@ -4,14 +4,15 @@ Declarations check in order into a Signature seeded with the built-in
 combinators (subst, idp, sym, trans — all defined through J). Data
 declarations admit overlapping and redundant availability rows; path
 constructors are installed as axiomatic identities with no computation
-rule. Function clauses go through index unification: matching a
-constructor (or refl) can rewrite earlier pattern variables, and a stuck
-unification problem is reported as E-UNIFY-STUCK rather than guessed at.
+rule. A clause's constructor (or refl) pattern is one case of a split,
+opened by `open_case` like every case of `split_cases`: its unification
+can rewrite earlier pattern variables, and a stuck one is E-UNIFY-STUCK
+rather than guessed at. An inaccessible pattern must be forced.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     PatCtor, PatInacc, PatRefl, Pattern, PatVar, SourceModule,
@@ -34,29 +35,32 @@ Case = tuple[CtorInfo | None, list[Binder], Term, UnifyResult]
 def split_cases(sig: Signature, nrm: Normalizer, tyn: Term,
                 taken: set[str]) -> Iterator[Case] | None:
     """The cases of a split on the normal type `tyn`, or None when it
-    cannot split. A datatype gives one case per point constructor: its
-    slots opened clear of `taken`, the constructor applied to the
-    parameters and the slots, and the unification of its row with the
-    indices. An identity type gives one `refl` case, unifying its
-    endpoints. The variables in `taken` are flexible; each case unifies
-    only when it is reached."""
+    cannot split: one `open_case` per point constructor of a datatype, or
+    the one `refl` case of an identity type. Each case unifies only when
+    it is reached."""
     split = sig.split_data_type(tyn)
     if split is None and not isinstance(tyn, IdType):
         return None
-    return _cases(sig, nrm, tyn, split, taken)
+    ctors = [None] if split is None else split[0].point_ctors()
+    return (open_case(sig, nrm, tyn, c, taken) for c in ctors)
 
 
-def _cases(sig, nrm, tyn, split, taken) -> Iterator[Case]:
-    if split is None:
-        yield None, [], REFL, unify_terms(sig, nrm, [(tyn.lhs, tyn.rhs)],
-                                          set(), taken)
-        return
-    dinfo, us, vs = split
-    for c in dinfo.point_ctors():
-        slots, avail, row = sig.ctor_slots(c, us, taken)
-        value = mk_app(CtorRef(c.data, c.name), *us, *telescope_vars(slots))
-        yield c, slots, value, unify_terms(sig, nrm, list(zip(vs, avail)),
-                                           row, taken)
+def open_case(sig: Signature, nrm: Normalizer, tyn: Term,
+              c: CtorInfo | None, taken: set[str],
+              fixed: Sequence[str | None] = (), prefix: str = "") -> Case:
+    """The case of the point constructor `c` in a split on the normal type
+    `tyn`: its slots from `Signature.ctor_slots`, the constructor applied
+    to the parameters and slots, and its row unified with the indices. When
+    `c` is None, the `refl` case of an identity type, unifying the
+    endpoints. The variables in `taken` are flexible."""
+    if c is None:
+        return None, [], REFL, unify_terms(sig, nrm, [(tyn.lhs, tyn.rhs)],
+                                           set(), taken)
+    _, us, vs = sig.split_data_type(tyn)
+    slots, avail, row = sig.ctor_slots(c, us, taken, fixed, prefix)
+    value = mk_app(CtorRef(c.data, c.name), *us, *telescope_vars(slots))
+    return c, slots, value, unify_terms(sig, nrm, list(zip(vs, avail)), row,
+                                        taken)
 
 
 class Checker:
@@ -588,8 +592,11 @@ class _ClauseState:
         for x, raw in self.inacc:
             t = self.current(raw)
             if x in self.ctx:
-                self.ck.check(self.ctx, t, self.ctx[x])
-                self.apply({x: t})
+                # nothing forced it: only a later name for it may stand there
+                if t != Var(x):
+                    raise TypeCheckError(
+                        f"inaccessible pattern {print_term(raw)} is at a "
+                        "position no other pattern forces")
             else:
                 forced = self.resolved[x]
                 if not self.ck.conv(t, forced):
@@ -597,9 +604,10 @@ class _ClauseState:
                         f"inaccessible pattern {print_term(t)} is not the "
                         f"forced value {print_term(forced)}")
 
-    def _unify(self, pairs, flex_row: set[str], what: Callable[[], str]):
-        res = unify_terms(self.sig, self.ck.nrm, pairs, flex_row,
-                          set(self.ctx))
+    def _take(self, case: Case, what: Callable[[], str]) -> Case:
+        """Bind a matched case's slots and apply its unification, or reject
+        a stuck or clashing case."""
+        res = case[3]
         if isinstance(res, UnifyStuck):
             raise TypeCheckError(
                 f"{what()}: unification stuck on neutral term "
@@ -611,7 +619,9 @@ class _ClauseState:
                 f"and {print_term(res.rhs)}", code="E-UNIFY-CLASH",
                 evidence={"lhs": print_term(res.lhs),
                           "rhs": print_term(res.rhs)})
+        self.ctx.update((b.name, b.type) for b in case[1])
         self.apply(res.subst)
+        return case
 
     def elab(self, pat: Pattern, expected: Term) -> Term:
         match pat:
@@ -631,8 +641,8 @@ class _ClauseState:
                     raise TypeCheckError(
                         f"refl pattern against non-identity type "
                         f"{print_term(tyn)}")
-                self._unify([(tyn.lhs, tyn.rhs)], set(),
-                            lambda: "matching refl")
+                self._take(open_case(self.sig, self.ck.nrm, tyn, None,
+                                     set(self.ctx)), lambda: "matching refl")
                 return REFL
             case PatCtor(dn, cn, subs):
                 return self._elab_ctor(dn, cn, subs, expected)
@@ -645,8 +655,7 @@ class _ClauseState:
             raise TypeCheckError(
                 f"pattern {dn}.{cn} cannot match a scrutinee of type "
                 f"{print_term(tyn)}")
-        dinfo, us, vs = split
-        cinfo = dinfo.ctors[cn]
+        cinfo = split[0].ctors[cn]
         arity = len(cinfo.patvars) + len(cinfo.args)
         if len(subs) != arity:
             raise TypeCheckError(
@@ -656,39 +665,21 @@ class _ClauseState:
         # elsewhere
         user = [sp.name if isinstance(sp, PatVar) and sp.name != "_" else None
                 for sp in subs]
-        slots, avail, row = self.sig.ctor_slots(cinfo, us, self.ctx, user,
-                                                "%")
-        self.ctx.update((b.name, b.type) for b in slots)
-        names = [b.name for b in slots]
-        self._unify(list(zip(vs, avail)), row,
-                    lambda: f"splitting {print_term(tyn)} with {cn}")
-        values: list[Term] = []
-        for name, sp in zip(names, subs):
-            if name in self.ctx:
-                match sp:
-                    case PatVar(_):
-                        values.append(Var(name))
-                    case PatRefl() | PatCtor(_, _, _):
-                        v = self.elab(sp, self.ctx[name])
-                        self.apply({name: v})
-                        values.append(v)
-                    case PatInacc(t):
-                        self.inacc.append((name, t))
-                        values.append(Var(name))
+        _, slots, value, _ = self._take(
+            open_case(self.sig, self.ck.nrm, tyn, cinfo, set(self.ctx), user,
+                      "%"), lambda: f"splitting {print_term(tyn)} with {cn}")
+        for b, sp in zip(slots, subs):
+            if isinstance(sp, PatInacc):
+                self.inacc.append((b.name, sp.term))
+            elif isinstance(sp, PatVar):
+                pass  # names the slot; a forced one is aliased by apply()
+            elif b.name in self.ctx:
+                self.apply({b.name: self.elab(sp, self.ctx[b.name])})
             else:
-                forced = self.resolved.get(name)
-                if isinstance(sp, PatVar):
-                    pass  # alias recorded by apply()
-                elif isinstance(sp, PatInacc):
-                    self.inacc.append((name, sp.term))
-                else:
-                    raise TypeCheckError(
-                        f"pattern {print_pattern(sp)} at a position forced "
-                        f"to {print_term(forced)} is not supported")
-                values.append(forced)
-        values = [self.current(v) for v in values]
-        us2 = [self.current(u) for u in us]
-        return mk_app(CtorRef(dn, cn), *us2, *values)
+                raise TypeCheckError(
+                    f"pattern {print_pattern(sp)} at a position forced to "
+                    f"{print_term(self.resolved[b.name])} is not supported")
+        return self.current(value)
 
 
 # -- prelude -------------------------------------------------------------------

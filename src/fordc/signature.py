@@ -69,10 +69,6 @@ class FunInfo:
         self.ret = ret
         self.clauses = clauses
 
-    @property
-    def arity(self) -> int:
-        return len(self.binders)
-
     def type(self) -> Term:
         return telescope_pi(self.binders, self.ret)
 

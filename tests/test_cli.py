@@ -235,6 +235,66 @@ def test_checker_rejections_keep_their_text(tmp_path, capsys, decls,
         assert (code, out, err) == (1, "", expected.format(path) + "\n")
 
 
+PLUS = """\
+def plus (m : Nat) (n : Nat) : Nat
+  | zero n => n
+  | (suc k) n => suc (plus k n)
+
+"""
+
+
+@pytest.mark.parametrize("decls, expected", [
+    ("def c (n : Nat) : Nat\n  | _ => zero\n", None),
+    ("def f (b : Bool) (g : Nat -> Nat) : Nat\n  | true g => zero\n",
+     "error[E-COVERAGE] {}:9:1: def f: missing canonical case: false _"),
+    (PLUS + "def f (n : Nat) (p : Id Nat (plus n zero) n) : Nat\n"
+     "  | n refl => zero\n",
+     "error[E-UNIFY-STUCK] {}:14:3: matching refl: unification stuck on "
+     "neutral term plus n zero"),
+    ("def g (p : Id Nat zero (suc zero)) : Nat\n  | refl => zero\n",
+     "error[E-UNIFY-CLASH] {}:10:3: matching refl: constructor clash between "
+     "zero and suc zero"),
+], ids=["wildcard", "unsplittable-column", "refl-stuck", "refl-clash"])
+def test_clause_and_split_branches_keep_their_text(tmp_path, capsys, decls,
+                                                   expected):
+    path = tmp_path / "in.fda"
+    path.write_text(NAT_BOOL + decls)
+    code, out, err = run(capsys, "check", str(path))
+    if expected is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (1, "", expected.format(path) + "\n")
+
+
+@pytest.mark.parametrize("decls, expected", [
+    ("def k (n : Nat) : Id Nat n zero\n  | .(zero) => refl\n",
+     "error[E-TYPE] {}:10:3: inaccessible pattern zero is at a position no "
+     "other pattern forces"),
+    ("def eqv (a : Nat) (b : Nat) : Id Nat a b\n  | k .(k) => refl\n",
+     "error[E-TYPE] {}:10:3: inaccessible pattern k is at a position no other "
+     "pattern forces"),
+    ("data Box\n  | box (n : Nat)\n\ndef unbox (b : Box) : Nat\n"
+     "  | (box .(zero)) => zero\n",
+     "error[E-TYPE] {}:13:3: inaccessible pattern zero is at a position no "
+     "other pattern forces"),
+], ids=["argument", "alias", "ctor-argument"])
+def test_an_unforced_inaccessible_pattern_is_rejected(tmp_path, capsys, decls,
+                                                      expected):
+    # taking the written term as a fact would let `k` prove n = zero for
+    # every n
+    path = tmp_path / "in.fda"
+    path.write_text(NAT_BOOL + decls)
+    assert run(capsys, "check", str(path)) == (1, "",
+                                               expected.format(path) + "\n")
+
+
+def test_no_closed_proof_of_empty_through_an_inaccessible_pattern(capsys):
+    path = cp("soundness/unforced-inaccessible.fda")
+    assert run(capsys, "check", path) == (
+        1, "", f"error[E-TYPE] {path}:10:3: inaccessible pattern zero is at "
+        "a position no other pattern forces\n")
+
+
 def test_cli_output_deterministic(tmp_path, capsys):
     runs = []
     for i in range(2):

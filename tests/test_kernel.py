@@ -567,6 +567,29 @@ def f (A : Type0) (n : Nat) (v : Vec A n) : Nat
         check_module(parse(src))
 
 
+def test_an_inaccessible_pattern_forced_by_a_later_pattern_checks():
+    # `cons n x xs` names its row variable `n`, and unification solves it
+    # as the placeholder `.(n)` stands for, so that placeholder is forced
+    sig = check_module(parse(corpus_text("vec.fda") + """
+def hd (A : Type0) (n : Nat) (v : Vec A (suc n)) : A
+  | A .(n) (cons n x xs) => x
+
+def pred (A : Type0) (n : Nat) (v : Vec A (suc n)) : Nat
+  | A .(n) (cons n x xs) => n
+
+def len (A : Type0) (n : Nat) (v : Vec A n) : Nat
+  | A .(zero) nil => zero
+  | A .(suc m) (cons m x xs) => suc (len A m xs)
+"""))
+    v = "(cons Nat (suc zero) zero (cons Nat zero (suc zero) (nil Nat)))"
+    assert alpha_eq(normalize(sig, pt(sig, f"hd Nat (suc zero) {v}")),
+                    CtorRef("Nat", "zero"))
+    assert alpha_eq(normalize(sig, pt(sig, f"pred Nat (suc zero) {v}")),
+                    pt(sig, "suc zero"))
+    assert alpha_eq(normalize(sig, pt(sig, f"len Nat (suc (suc zero)) {v}")),
+                    pt(sig, "suc (suc zero)"))
+
+
 def test_refl_clause_rewrites_endpoint():
     src = """
 data Bool
