@@ -75,10 +75,9 @@ class Checker:
         return self.nrm.convertible(a, b)
 
     def _mismatch(self, expected: Term, actual: Term, what: str = "term"):
-        e, a = self.nf(expected), self.nf(actual)
-        return TypeCheckError(
-            f"{what}: expected {print_term(e)}, got {print_term(a)}",
-            evidence={"expected": print_term(e), "actual": print_term(a)})
+        e, a = print_term(self.nf(expected)), print_term(self.nf(actual))
+        return TypeCheckError(f"{what}: expected {e}, got {a}",
+                              evidence={"expected": e, "actual": a})
 
     # -- bidirectional core ------------------------------------------------
 
@@ -570,8 +569,8 @@ class _ClauseState:
         self.binder_map: dict[str, Term] = {}
         self.resolved: dict[str, Term] = {}
         # inaccessible patterns check once the whole row has bound its
-        # variables: (placeholder var, written term)
-        self.inacc: list[tuple[str, Term]] = []
+        # variables: (placeholder var, its type, written term)
+        self.inacc: list[tuple[str, Term, Term]] = []
 
     def apply(self, sub: dict[str, Term]):
         if not sub:
@@ -589,7 +588,7 @@ class _ClauseState:
         return subst_term(t, self.resolved)
 
     def resolve_inaccessible(self):
-        for x, raw in self.inacc:
+        for x, ty, raw in self.inacc:
             t = self.current(raw)
             if x in self.ctx:
                 # nothing forced it: only a later name for it may stand there
@@ -599,6 +598,9 @@ class _ClauseState:
                         "position no other pattern forces")
             else:
                 forced = self.resolved[x]
+                # conversion alone would take an ill-typed term that
+                # normalizes to the forced value
+                self.ck.check(self.ctx, t, self.current(ty))
                 if not self.ck.conv(t, forced):
                     raise TypeCheckError(
                         f"inaccessible pattern {print_term(t)} is not the "
@@ -609,16 +611,15 @@ class _ClauseState:
         a stuck or clashing case."""
         res = case[3]
         if isinstance(res, UnifyStuck):
+            blocker = print_term(res.blocker)
             raise TypeCheckError(
-                f"{what()}: unification stuck on neutral term "
-                f"{print_term(res.blocker)}", code="E-UNIFY-STUCK",
-                evidence={"blocker": print_term(res.blocker)})
+                f"{what()}: unification stuck on neutral term {blocker}",
+                code="E-UNIFY-STUCK", evidence={"blocker": blocker})
         if isinstance(res, UnifyMismatch):
+            lhs, rhs = print_term(res.lhs), print_term(res.rhs)
             raise TypeCheckError(
-                f"{what()}: constructor clash between {print_term(res.lhs)} "
-                f"and {print_term(res.rhs)}", code="E-UNIFY-CLASH",
-                evidence={"lhs": print_term(res.lhs),
-                          "rhs": print_term(res.rhs)})
+                f"{what()}: constructor clash between {lhs} and {rhs}",
+                code="E-UNIFY-CLASH", evidence={"lhs": lhs, "rhs": rhs})
         self.ctx.update((b.name, b.type) for b in case[1])
         self.apply(res.subst)
         return case
@@ -633,7 +634,7 @@ class _ClauseState:
             case PatInacc(t):
                 x = fresh_name("%dot", set(self.ctx))
                 self.ctx[x] = expected
-                self.inacc.append((x, t))
+                self.inacc.append((x, expected, t))
                 return Var(x)
             case PatRefl():
                 tyn = self.ck.nf(expected)
@@ -670,7 +671,7 @@ class _ClauseState:
                       "%"), lambda: f"splitting {print_term(tyn)} with {cn}")
         for b, sp in zip(slots, subs):
             if isinstance(sp, PatInacc):
-                self.inacc.append((b.name, sp.term))
+                self.inacc.append((b.name, b.type, sp.term))
             elif isinstance(sp, PatVar):
                 pass  # names the slot; a forced one is aliased by apply()
             elif b.name in self.ctx:

@@ -8,12 +8,18 @@ function, or axiom.
 
 Constructor names may repeat across datatypes; a bare reference must be
 unambiguous, otherwise the qualified form `Data.ctor` is required.
+
+`lex` scans a text into `Tokens`, flat arrays of kinds, texts and start
+offsets. The parser reads them by index; a line and column are computed
+from an offset, only for a location or a diagnostic.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from collections.abc import Sequence
+from itertools import repeat
 
 from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl, FunDecl,
                     MutualBlock, PatCtor, PatInacc, PatRefl, Pattern, PatVar,
@@ -39,14 +45,43 @@ class Token:
         self.col = col
 
 
+class Tokens(Sequence[Token]):
+    """A text's tokens as parallel arrays `kinds`, `texts` and start
+    `offsets`, ending in `eof`. Indexing builds a `Token`, its position
+    computed from the offsets of the newlines."""
+
+    def __init__(self, src: str, start: int):
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.offsets: list[int] = []
+        # newline offsets, after a virtual one just before `start` (a line
+        # start), which ends line `self.line`
+        self.newlines = [start - 1]
+        self.line = src.count("\n", 0, start)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.texts[i], *self.position(i))
+
+    def position(self, i: int) -> tuple[int, int]:
+        """(line, column) of token `i`."""
+        k = bisect(self.newlines, self.offsets[i])
+        return self.line + k, self.offsets[i] - self.newlines[k - 1]
+
+
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
-_TOKEN = re.compile(rf"""[ \t\r]*(?:
-    (?P<nl>\n)
+# `Data.ctor` written without spaces is one qualified reference, unless the
+# head is a keyword. Only rare tokens set a group.
+_TOKEN = re.compile(rf"""
+    (?!(?:{"|".join(sorted(KEYWORDS))})\.){_IDENT}(?P<qident>\.{_IDENT})?
+  | {_IDENT}
+  | ->|=>|[()\[\],:|.\\]
+  | (?P<nl>\n)
   | (?P<comment>--[^\n]*)
-  | (?P<word>{_IDENT}(?:\.{_IDENT})?)
-  | (?P<punct>->|=>|[()\[\],:|.\\])
-  | (?P<bad>.)
-  | (?P<end>\Z))""", re.VERBOSE)
+  | (?P<bad>[^ \t\r\n])""", re.VERBOSE)
+_KIND = {t: t for t in KEYWORDS | {"->", "=>", *"()[],:|.\\"}} | {"": "eof"}
 
 
 def is_ident(name: str) -> bool:
@@ -54,41 +89,40 @@ def is_ident(name: str) -> bool:
     return re.fullmatch(_IDENT, name) is not None and name not in KEYWORDS
 
 
-def lex(src: str, start: int = 0) -> list[Token]:
-    """One master-pattern match per token (with the blanks before it) from
-    `start`, a line start; lines count from 1 at the start of `src`. A `--`
-    comment runs to the end of its line and does not advance the column, so
-    an `eof` right after one keeps the comment's column."""
-    toks: list[Token] = []
-    pos, line, col = start, src.count("\n", 0, start) + 1, 1
-    while True:
-        m = _TOKEN.match(src, pos)
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        col += start - pos
-        text, pos = src[start:end], end
-        if kind == "word":
-            # `Data.ctor` written without spaces is one qualified reference,
-            # unless the head is a keyword
-            head, dot, _ = text.partition(".")
-            if head in KEYWORDS:
-                text, kind, pos = head, head, start + len(head)
+def lex(src: str, start: int = 0) -> Tokens:
+    """Scan `src` from `start`, a line start, into `Tokens`, one pattern
+    search per token, recording the newlines for positions on demand; lines
+    count from 1 at the start of `src`. A `--` comment runs to the end of
+    its line and does not advance the column, so an `eof` right after one
+    keeps the comment's column."""
+    toks = Tokens(src, start)
+    texts, offsets = toks.texts, toks.offsets
+    qualified: list[int] = []
+    eof = len(src)
+    for m in _TOKEN.finditer(src, start):
+        if m.lastindex:
+            group = m.lastgroup
+            if group == "qident":
+                qualified.append(len(texts))
+            elif group == "nl":
+                toks.newlines.append(m.start())
+                continue
+            elif group == "comment":
+                if m.end() == eof:
+                    eof = m.start()
+                continue
             else:
-                kind = "qident" if dot else "ident"
-        elif kind == "punct":
-            kind = text
-        elif kind == "nl":
-            line, col = line + 1, 1
-            continue
-        elif kind == "comment":
-            continue
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        else:
-            toks.append(Token("eof", "", line, col))
-            return toks
-        toks.append(Token(kind, text, line, col))
-        col += len(text)
+                offsets.append(m.start())
+                raise ParseError(f"unexpected character {m.group()!r}",
+                                 *toks.position(-1))
+        texts.append(m.group())
+        offsets.append(m.start())
+    texts.append("")
+    offsets.append(eof)
+    toks.kinds = kinds = list(map(_KIND.get, texts, repeat("ident")))
+    for i in qualified:
+        kinds[i] = "qident"
+    return toks
 
 
 class NameEnv:
@@ -128,45 +162,44 @@ class NameEnv:
 
 
 class Parser:
-    def __init__(self, toks: list[Token], env: NameEnv):
+    """Reads `Tokens` by index: `pos` is the current token, and `advance`
+    and `expect` return the index of the token they consume."""
+
+    def __init__(self, toks: Tokens, env: NameEnv):
         self.toks = toks
+        self.kinds = toks.kinds
+        self.texts = toks.texts
         self.pos = 0
         self.env = env
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def advance(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self.pos = i + 1
+        return i
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.kinds[self.pos] == kind
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
+    def expect(self, kind: str, what: str | None = None) -> int:
+        if self.kinds[self.pos] != kind:
             self.fail({what or kind})
         return self.advance()
 
     def fail(self, expected: set[str]):
-        t = self.peek()
-        found = t.text or "end of input"
+        found = self.texts[self.pos] or "end of input"
         exp = ", ".join(sorted(expected))
-        raise ParseError(f"expected {exp}, found {found!r}", t.line, t.col,
+        raise ParseError(f"expected {exp}, found {found!r}", *self.loc(),
                          frozenset(expected))
 
     def loc(self) -> tuple[int, int]:
-        t = self.peek()
-        return (t.line, t.col)
+        return self.toks.position(self.pos)
 
     # -- name resolution ---------------------------------------------------
 
-    def resolve(self, name: str, locals_: list[str], tok: Token) -> Term:
+    def resolve(self, name: str, locals_: list[str], tok: int) -> Term:
         if name != "_" and name in locals_:
             return Var(name)
         if name in self.env.datas:
@@ -182,25 +215,29 @@ class Parser:
             raise ScopeError(
                 f"ambiguous constructor {name!r}; qualify as one of "
                 + ", ".join(f"{d}.{name}" for d in sorted(cands)),
-                tok.line, tok.col)
-        raise ScopeError(f"unknown name {name!r}", tok.line, tok.col)
+                *self.toks.position(tok))
+        raise ScopeError(f"unknown name {name!r}", *self.toks.position(tok))
 
-    def resolve_qualified(self, text: str, tok: Token) -> tuple[str, str]:
+    def resolve_qualified(self, text: str, tok: int) -> tuple[str, str]:
         data, _, ctor = text.partition(".")
         if data not in self.env.datas or ctor not in self.env.datas[data]:
-            raise ScopeError(f"unknown constructor {text!r}", tok.line, tok.col)
+            raise ScopeError(f"unknown constructor {text!r}",
+                             *self.toks.position(tok))
         return data, ctor
 
-    def check_fresh_decl(self, name: str, tok: Token):
+    def check_fresh_decl(self, name: str, tok: int):
         if self.env.is_decl(name) or self.env.ctor_candidates(name):
-            raise ScopeError(f"duplicate declaration {name!r}", tok.line, tok.col)
+            raise ScopeError(f"duplicate declaration {name!r}",
+                             *self.toks.position(tok))
 
     # -- terms ---------------------------------------------------------------
 
     ATOM_STARTS = {"ident", "qident", "Type0", "Type1", "refl", "Id", "J", "("}
+    PATTERN_STARTS = {"ident", "qident", "refl", "(", "."}
 
     def parse_term(self, locals_: list[str]) -> Term:
-        if self.at("Pi"):
+        kind = self.kinds[self.pos]
+        if kind == "Pi":
             self.advance()
             binders = self.parse_binder_groups(locals_, at_least_one=True)
             self.expect("->")
@@ -209,11 +246,11 @@ class Parser:
             for b in reversed(binders):
                 body = Pi(b.name, b.type, body)
             return body
-        if self.at("\\"):
+        if kind == "\\":
             self.advance()
-            names = [self.expect("ident", "binder name").text]
+            names = [self.texts[self.expect("ident", "binder name")]]
             while self.at("ident"):
-                names.append(self.advance().text)
+                names.append(self.texts[self.advance()])
             self.expect("=>")
             body = self.parse_term(locals_ + names)
             for x in reversed(names):
@@ -227,46 +264,40 @@ class Parser:
 
     def parse_app(self, locals_: list[str]) -> Term:
         t = self.parse_atom(locals_)
-        while self.peek().kind in self.ATOM_STARTS:
+        while self.kinds[self.pos] in self.ATOM_STARTS:
             t = App(t, self.parse_atom(locals_))
         return t
 
     def parse_atom(self, locals_: list[str]) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return self.resolve(tok.text, locals_, tok)
-        if tok.kind == "qident":
-            self.advance()
-            data, ctor = self.resolve_qualified(tok.text, tok)
+        i = self.pos
+        kind = self.kinds[i]
+        if kind not in self.ATOM_STARTS:
+            self.fail({"a term"})
+        self.pos = i + 1
+        if kind == "ident":
+            return self.resolve(self.texts[i], locals_, i)
+        if kind == "qident":
+            data, ctor = self.resolve_qualified(self.texts[i], i)
             return CtorRef(data, ctor)
-        if tok.kind == "Type0":
-            self.advance()
+        if kind == "Type0":
             return Univ(0)
-        if tok.kind == "Type1":
-            self.advance()
+        if kind == "Type1":
             return Univ(1)
-        if tok.kind == "refl":
-            self.advance()
+        if kind == "refl":
             return REFL
-        if tok.kind == "Id":
-            self.advance()
+        if kind == "Id":
             a = self.parse_atom(locals_)
             l = self.parse_atom(locals_)
             r = self.parse_atom(locals_)
             return IdType(a, l, r)
-        if tok.kind == "J":
-            self.advance()
+        if kind == "J":
             m = self.parse_atom(locals_)
             b = self.parse_atom(locals_)
             p = self.parse_atom(locals_)
             return JElim(m, b, p)
-        if tok.kind == "(":
-            self.advance()
-            t = self.parse_term(locals_)
-            self.expect(")")
-            return t
-        self.fail({"a term"})
+        t = self.parse_term(locals_)
+        self.expect(")")
+        return t
 
     def parse_binder_groups(self, locals_: list[str],
                             at_least_one: bool = False) -> list[Binder]:
@@ -278,7 +309,7 @@ class Parser:
             self.advance()
             names = []
             while self.at("ident"):
-                names.append(self.advance().text)
+                names.append(self.texts[self.advance()])
             if not names or not self.at(":"):
                 self.pos = save
                 break
@@ -295,72 +326,69 @@ class Parser:
     # -- patterns ------------------------------------------------------------
 
     def parse_pattern(self, bound: list[str], locals_base: list[str]) -> Pattern:
-        tok = self.peek()
-        if tok.kind in ("ident", "qident"):
+        if self.kinds[self.pos] in ("ident", "qident"):
             head = self.advance()
             args: list[Pattern] = []
-            while self.peek().kind in ("ident", "qident", "refl", "(", "."):
+            while self.kinds[self.pos] in self.PATTERN_STARTS:
                 args.append(self.parse_pattern_atom(bound, locals_base))
             return self.make_head_pattern(head, tuple(args), bound)
         return self.parse_pattern_atom(bound, locals_base)
 
     def parse_pattern_atom(self, bound: list[str],
                            locals_base: list[str]) -> Pattern:
-        tok = self.peek()
-        if tok.kind in ("ident", "qident"):
-            self.advance()
-            return self.make_head_pattern(tok, (), bound)
-        if tok.kind == "refl":
-            self.advance()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind not in self.PATTERN_STARTS:
+            self.fail({"a pattern"})
+        self.pos = i + 1
+        if kind in ("ident", "qident"):
+            return self.make_head_pattern(i, (), bound)
+        if kind == "refl":
             return PatRefl()
-        if tok.kind == ".":
-            self.advance()
+        if kind == ".":
             self.expect("(")
             t = self.parse_term(locals_base + bound)
             self.expect(")")
             return PatInacc(t)
-        if tok.kind == "(":
-            self.advance()
-            p = self.parse_pattern(bound, locals_base)
-            self.expect(")")
-            return p
-        self.fail({"a pattern"})
+        p = self.parse_pattern(bound, locals_base)
+        self.expect(")")
+        return p
 
-    def make_head_pattern(self, tok: Token, args: tuple[Pattern, ...],
+    def make_head_pattern(self, tok: int, args: tuple[Pattern, ...],
                           bound: list[str]) -> Pattern:
-        if tok.kind == "qident":
-            data, ctor = self.resolve_qualified(tok.text, tok)
+        if self.kinds[tok] == "qident":
+            data, ctor = self.resolve_qualified(self.texts[tok], tok)
             self.check_point_ctor(data, ctor, tok)
             return PatCtor(data, ctor, args)
-        name = tok.text
+        name = self.texts[tok]
         cands = self.env.ctor_candidates(name)
         if len(cands) > 1:
             raise ScopeError(
                 f"ambiguous constructor pattern {name!r}; qualify as one of "
                 + ", ".join(f"{d}.{name}" for d in sorted(cands)),
-                tok.line, tok.col)
+                *self.toks.position(tok))
         if len(cands) == 1:
             self.check_point_ctor(cands[0], name, tok)
             return PatCtor(cands[0], name, args)
         if args:
             raise ScopeError(f"unknown constructor {name!r} in pattern",
-                             tok.line, tok.col)
+                             *self.toks.position(tok))
         if self.env.is_decl(name):
             raise ScopeError(
                 f"pattern variable {name!r} shadows a declaration",
-                tok.line, tok.col)
+                *self.toks.position(tok))
         if name != "_":
             if name in bound:
                 raise ScopeError(f"pattern variable {name!r} bound twice",
-                                 tok.line, tok.col)
+                                 *self.toks.position(tok))
             bound.append(name)
         return PatVar(name)
 
-    def check_point_ctor(self, data: str, ctor: str, tok: Token):
+    def check_point_ctor(self, data: str, ctor: str, tok: int):
         if self.env.datas[data][ctor]:
             raise ScopeError(
                 f"path constructor {data}.{ctor} cannot be matched",
-                tok.line, tok.col)
+                *self.toks.position(tok))
 
     # -- declarations ----------------------------------------------------------
 
@@ -385,7 +413,7 @@ class Parser:
         loc = self.loc()
         self.expect("data")
         name_tok = self.expect("ident", "datatype name")
-        name = name_tok.text
+        name = self.texts[name_tok]
         if not preregistered:
             self.check_fresh_decl(name, name_tok)
             self.env.datas[name] = {}
@@ -405,14 +433,14 @@ class Parser:
         loc = self.loc()
         self.expect("|")
         name_tok = self.expect("ident", "constructor name")
-        cname = name_tok.text
+        cname = self.texts[name_tok]
         if cname in self.env.datas[data]:
             raise ScopeError(f"duplicate constructor {cname!r} in {data}",
-                             name_tok.line, name_tok.col)
+                             *self.toks.position(name_tok))
         if self.env.is_decl(cname):
             raise ScopeError(
                 f"constructor {cname!r} collides with a declaration",
-                name_tok.line, name_tok.col)
+                *self.toks.position(name_tok))
         if self.at(":"):
             self.advance()
             ty = self.parse_term(param_names)
@@ -440,7 +468,7 @@ class Parser:
             partial = True
         self.expect("def")
         name_tok = self.expect("ident", "function name")
-        name = name_tok.text
+        name = self.texts[name_tok]
         self.check_fresh_decl(name, name_tok)
         binders = tuple(self.parse_binder_groups([]))
         self.expect(":")
@@ -471,25 +499,25 @@ class Parser:
     def prescan_row_vars(self) -> list[str]:
         """Identifiers in the clause row (up to '=>') that can only be
         pattern variables, skipping inaccessible-term spans."""
+        kinds, texts = self.kinds, self.texts
         out: list[str] = []
         i = self.pos
-        while i < len(self.toks) and self.toks[i].kind not in ("=>", "eof"):
-            t = self.toks[i]
-            if t.kind == "." and self.toks[i + 1].kind == "(":
+        while i < len(kinds) and kinds[i] not in ("=>", "eof"):
+            if kinds[i] == "." and kinds[i + 1] == "(":
                 depth = 0
                 i += 1
-                while i < len(self.toks):
-                    if self.toks[i].kind == "(":
+                while i < len(kinds):
+                    if kinds[i] == "(":
                         depth += 1
-                    elif self.toks[i].kind == ")":
+                    elif kinds[i] == ")":
                         depth -= 1
                         if depth == 0:
                             break
                     i += 1
-            elif (t.kind == "ident" and t.text != "_" and t.text not in out
-                  and not self.env.is_decl(t.text)
-                  and not self.env.ctor_candidates(t.text)):
-                out.append(t.text)
+            elif (kinds[i] == "ident" and texts[i] != "_" and texts[i] not in out
+                  and not self.env.is_decl(texts[i])
+                  and not self.env.ctor_candidates(texts[i])):
+                out.append(texts[i])
             i += 1
         return out
 
@@ -497,27 +525,29 @@ class Parser:
         loc = self.loc()
         self.expect("axiom")
         name_tok = self.expect("ident", "axiom name")
-        self.check_fresh_decl(name_tok.text, name_tok)
+        name = self.texts[name_tok]
+        self.check_fresh_decl(name, name_tok)
         self.expect(":")
         ty = self.parse_term([])
-        self.env.axioms.add(name_tok.text)
-        return AxiomDecl(name_tok.text, ty, loc=loc)
+        self.env.axioms.add(name)
+        return AxiomDecl(name, ty, loc=loc)
 
     def parse_mutual(self) -> MutualBlock:
         loc = self.loc()
         self.expect("mutual")
         # pre-register all member names so the group can refer forward
+        kinds = self.kinds
         i = self.pos
         names = []
-        while i < len(self.toks) and self.toks[i].kind != "end":
-            if self.toks[i].kind == "data" and self.toks[i + 1].kind == "ident":
-                names.append(self.toks[i + 1])
+        while i < len(kinds) and kinds[i] != "end":
+            if kinds[i] == "data" and kinds[i + 1] == "ident":
+                names.append(i + 1)
             i += 1
-        if self.toks[min(i, len(self.toks) - 1)].kind != "end":
+        if kinds[min(i, len(kinds) - 1)] != "end":
             self.fail({"'end' closing the mutual block"})
         for tok in names:
-            self.check_fresh_decl(tok.text, tok)
-            self.env.datas[tok.text] = {}
+            self.check_fresh_decl(self.texts[tok], tok)
+            self.env.datas[self.texts[tok]] = {}
         members = []
         while self.at("data"):
             members.append(self.parse_data(preregistered=True))

@@ -295,6 +295,21 @@ def test_no_closed_proof_of_empty_through_an_inaccessible_pattern(capsys):
         "a position no other pattern forces\n")
 
 
+def test_an_ill_typed_forced_inaccessible_pattern_is_rejected(capsys):
+    path = cp("soundness/ill-typed-inaccessible.fda")
+    assert run(capsys, "check", path) == (
+        1, "", f"error[E-TYPE] {path}:20:3: type mismatch: expected Bool, "
+        "got Nat\n")
+
+
+def test_a_well_typed_forced_inaccessible_pattern_checks(tmp_path, capsys):
+    # the probe above with `true`, a `Bool`, in place of `zero`
+    path = tmp_path / "in.fda"
+    path.write_text(corpus_text("soundness/ill-typed-inaccessible.fda")
+                    .replace("const m zero", "const m true"))
+    assert run(capsys, "check", str(path)) == (0, f"checked {path}\n", "")
+
+
 def test_cli_output_deterministic(tmp_path, capsys):
     runs = []
     for i in range(2):

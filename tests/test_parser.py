@@ -1,9 +1,13 @@
+import random
+import re
+
 import pytest
 
 from fordc import (DataDecl, FunDecl, MutualBlock, ParseError, PatCtor,
                    PatInacc, PatVar, ScopeError, parse, prelude_signature,
                    print_module)
-from fordc.parser import Parser, lex, parse as parse_from
+from fordc import parser as fordc_parser
+from fordc.parser import KEYWORDS, Parser, lex, parse as parse_from
 from fordc.printer import decl_offset
 from fordc.terms import CtorRef
 from conftest import CORPUS, corpus_text, load
@@ -143,6 +147,15 @@ def test_empty_module():
                     ("eof", "", 2, 3)]),
     # the column does not advance over a comment
     ("x  -- trailing", [("ident", "x", 1, 1), ("eof", "", 1, 4)]),
+    ("Id.x.y", [("Id", "Id", 1, 1), (".", ".", 1, 3),
+                ("qident", "x.y", 1, 4), ("eof", "", 1, 7)]),
+    ("J.refl z", [("J", "J", 1, 1), (".", ".", 1, 2), ("refl", "refl", 1, 3),
+                  ("ident", "z", 1, 8), ("eof", "", 1, 9)]),
+    ("data T\r\n  | t -- c", [("data", "data", 1, 1), ("ident", "T", 1, 6),
+                              ("|", "|", 2, 3), ("ident", "t", 2, 5),
+                              ("eof", "", 2, 7)]),
+    ("", [("eof", "", 1, 1)]),
+    ("-- only", [("eof", "", 1, 1)]),
 ])
 def test_lexer_tokens(src, expected):
     assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == expected
@@ -220,3 +233,128 @@ def test_suffix_parse_matches_the_whole_parse(golden):
         assert ([list(_locs(d)) for d in suffix]
                 == [list(_locs(d)) for d in whole[k:]])
         p.parse_decl()
+
+
+def test_a_successful_parse_builds_no_token(monkeypatch):
+    # tokens are read from the arrays; a `Token` is built only on request
+    def no_token(*args):
+        raise AssertionError("a Token was built")
+    monkeypatch.setattr(fordc_parser, "Token", no_token)
+    for path in sorted(CORPUS.glob("*.fda")):
+        parse(path.read_text(encoding="utf-8"))
+
+
+def test_lexer_error_from_an_offset_counts_lines_from_the_start():
+    with pytest.raises(ParseError) as ei:
+        lex("a\nb\n\n  c @", 5)
+    assert ei.value.message == "unexpected character '@'"
+    assert ei.value.loc == (4, 5)
+
+
+_NAT = "data Nat\n  | zero\n  | suc (n : Nat)\n\n"
+
+
+@pytest.mark.parametrize("src, error, loc, message", [
+    ("data A\n  | mk\n\ndata B\n  | mk\n\ndef f (x : A) : A\n  | mk => x\n",
+     ScopeError, (8, 5),
+     "ambiguous constructor pattern 'mk'; qualify as one of A.mk, B.mk"),
+    (_NAT + "def g : Nat => zero\n\ndef f (x : Nat) : Nat\n  | g => zero\n",
+     ScopeError, (8, 5), "pattern variable 'g' shadows a declaration"),
+    ("data T\n  | a\n  | a\n", ScopeError, (3, 5),
+     "duplicate constructor 'a' in T"),
+    ("data S1\n  | base\n  | loop : Id S1 base base\n\n"
+     "def f (x : S1) : S1\n  | loop => base\n",
+     ScopeError, (6, 5), "path constructor S1.loop cannot be matched"),
+    (_NAT + "def f (a : Nat) (b : Nat) : Nat\n  | x x => x\n",
+     ScopeError, (6, 7), "pattern variable 'x' bound twice"),
+    ("mutual\ndata A\n  | a\n", ParseError, (2, 1),
+     "expected 'end' closing the mutual block, found 'data'"),
+    ("data T\n\t| t @", ParseError, (2, 6), "unexpected character '@'"),
+], ids=["ambiguous-pattern", "shadowing-pattern", "duplicate-ctor",
+        "path-ctor-pattern", "pattern-var-twice", "mutual-without-end",
+        "stray-character"])
+def test_located_parse_and_scope_errors(src, error, loc, message):
+    with pytest.raises(error) as ei:
+        parse(src)
+    assert type(ei.value) is error
+    assert (ei.value.loc, ei.value.message) == (loc, message)
+
+
+# -- the lexer against a reference ---------------------------------------------
+
+_REF_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_REF_TOKEN = re.compile(rf"""[ \t\r]*(?:
+    (?P<nl>\n)
+  | (?P<comment>--[^\n]*)
+  | (?P<word>{_REF_IDENT}(?:\.{_REF_IDENT})?)
+  | (?P<punct>->|=>|[()\[\],:|.\\])
+  | (?P<bad>.)
+  | (?P<end>\Z))""", re.VERBOSE)
+
+
+def reference_lex(src: str) -> list[tuple[str, str, int, int]]:
+    """One match per token, with line and column bookkeeping: the lexer
+    as it was written before it scanned into token arrays."""
+    toks = []
+    pos, line, col = 0, 1, 1
+    while True:
+        m = _REF_TOKEN.match(src, pos)
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        col += start - pos
+        text, pos = src[start:end], end
+        if kind == "word":
+            head, dot, _ = text.partition(".")
+            if head in KEYWORDS:
+                text, kind, pos = head, head, start + len(head)
+            else:
+                kind = "qident" if dot else "ident"
+        elif kind == "punct":
+            kind = text
+        elif kind == "nl":
+            line, col = line + 1, 1
+            continue
+        elif kind == "comment":
+            continue
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        else:
+            toks.append(("eof", "", line, col))
+            return toks
+        toks.append((kind, text, line, col))
+        col += len(text)
+
+
+def _lexes_like_the_reference(src: str):
+    try:
+        expected = reference_lex(src)
+    except ParseError as e:
+        with pytest.raises(ParseError) as ei:
+            lex(src)
+        assert (ei.value.message, ei.value.loc) == (e.message, e.loc), src
+        return
+    assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == expected, src
+
+
+_CORPUS_FILES = sorted(CORPUS.glob("**/*.fda"))
+
+
+@pytest.mark.parametrize("path", _CORPUS_FILES,
+                         ids=lambda p: str(p.relative_to(CORPUS)))
+def test_lexer_matches_the_reference_on_the_corpus(path):
+    _lexes_like_the_reference(path.read_text(encoding="utf-8"))
+
+
+def test_lexer_matches_the_reference_on_character_mutants():
+    # stray characters, blanks, dots, dashes, newlines and parentheses, and
+    # keywords written as qualifiers, inserted or replacing one character
+    rng = random.Random(16)
+    texts = [p.read_text(encoding="utf-8") for p in _CORPUS_FILES]
+    texts = [t for t in texts if t]
+    pieces = (list("@é\t\r.-\n()")
+              + [k + "." for k in sorted(KEYWORDS)])
+    for _ in range(2000):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text))
+        cut = i + rng.randrange(2)  # 0: insert, 1: replace
+        _lexes_like_the_reference(text[:i] + rng.choice(pieces) + text[cut:])
