@@ -26,7 +26,8 @@ from .signature import (CtorInfo, DataInfo, FunInfo, Signature, telescope_pi,
 from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
                     JElim, Lam, Pi, Refl, Term, Univ, Var, data_refs,
                     free_vars, fresh_name, mk_app, spine, spines, subst_term)
-from .unify import UnifyMismatch, UnifyResult, UnifyStuck, unify_terms
+from .unify import (UnifyMismatch, UnifyResult, UnifyStuck, UnifySuccess,
+                    unify_terms)
 
 Ctx = dict[str, Term]
 Case = tuple[CtorInfo | None, list[Binder], Term, UnifyResult]
@@ -454,7 +455,7 @@ class Checker:
 
     def _cover(self, fname: str, cols, rows, acc, gen: set[str]):
         if not rows:
-            if self._some_column_empty(cols, gen):
+            if self._some_column_empty(fname, cols, gen):
                 return
             shape = " ".join(acc + ["_"] * len(cols)) or "<empty row>"
             raise CoverageError(
@@ -480,11 +481,7 @@ class Checker:
                     isinstance(res, UnifyStuck) and catchall):
                 continue
             if isinstance(res, UnifyStuck):
-                what = (f"for {c.data}.{c.name}: unification" if c else
-                        "of an identity type")
-                raise CoverageError(
-                    f"def {fname}: cannot decide coverage {what} stuck on "
-                    f"{print_term(res.blocker)}")
+                raise _undecided(fname, c, res)
             # the split variable becomes the case's value in later columns
             sub = {**res.subst, x: subst_term(value, res.subst)}
             cols2 = [(n, subst_term(t, sub)) for n, t in
@@ -501,15 +498,29 @@ class Checker:
             self._cover(fname, cols2, rows2, acc + [c.name if c else "refl"],
                         set(gen))
 
-    def _some_column_empty(self, cols, gen: set[str]) -> bool:
+    def _some_column_empty(self, fname: str, cols, gen: set[str]) -> bool:
         """A telescope with a visibly uninhabited column is covered
-        vacuously (every case of a split on it clashes)."""
+        vacuously (every case of a split on it clashes). When no column is,
+        but one has a stuck case and no case that unifies, coverage cannot
+        be decided."""
         colnames = {n for n, _ in cols} | gen
+        undecided = None
         for _, ty in cols:
             cases = split_cases(self.sig, self.nrm, self.nf(ty), colnames)
-            if cases is not None and all(isinstance(res, UnifyMismatch)
-                                         for *_, res in cases):
-                return True
+            if cases is None:
+                continue
+            stuck = None
+            for c, _, _, res in cases:
+                if isinstance(res, UnifySuccess):
+                    break
+                if stuck is None and isinstance(res, UnifyStuck):
+                    stuck = c, res
+            else:
+                if stuck is None:
+                    return True
+                undecided = undecided or stuck
+        if undecided:
+            raise _undecided(fname, *undecided)
         return False
 
     def _check_termination(self, f: FunDecl):
@@ -551,6 +562,13 @@ class Checker:
             f"def {f.name}: no argument position decreases structurally in "
             "every recursive call (mark the definition 'partial' to skip "
             "this check)", code="E-TERMINATION", loc=f.loc)
+
+
+def _undecided(fname: str, c: CtorInfo | None, res: UnifyStuck):
+    what = (f"for {c.data}.{c.name}: unification" if c else
+            "of an identity type")
+    return CoverageError(f"def {fname}: cannot decide coverage {what} stuck "
+                         f"on {print_term(res.blocker)}")
 
 
 class _ClauseState:
@@ -611,7 +629,9 @@ class _ClauseState:
         a stuck or clashing case."""
         res = case[3]
         if isinstance(res, UnifyStuck):
-            blocker = print_term(res.blocker)
+            # an inaccessible pattern's placeholder prints as written
+            blocker = print_term(subst_term(res.blocker, {
+                x: raw for x, _, raw in self.inacc}))
             raise TypeCheckError(
                 f"{what()}: unification stuck on neutral term {blocker}",
                 code="E-UNIFY-STUCK", evidence={"blocker": blocker})

@@ -43,12 +43,14 @@ class DataInfo:
     params: Telescope
     indices: Telescope
     ctors: dict[str, CtorInfo]
+    has_path: bool                   # some constructor is a path
 
     def __init__(self, decl, params, indices):
         self.decl = decl
         self.params = params
         self.indices = indices
         self.ctors = {}
+        self.has_path = False
 
     def former_type(self) -> Term:
         return telescope_pi(self.params + self.indices, Univ(0))
@@ -97,7 +99,9 @@ class Signature:
         self.names.add(info.decl.name)
 
     def add_ctor(self, c: CtorInfo):
-        self.datas[c.data].ctors[c.name] = c
+        info = self.datas[c.data]
+        info.ctors[c.name] = c
+        info.has_path = info.has_path or c.is_path
         self.names.add(c.name)
 
     def add_fun(self, info: FunInfo):

@@ -1,20 +1,27 @@
-"""First-order index unification (after Cockx, Devriese and Piessens,
-"Pattern matching without K"). Each pair meets four rules in turn:
-- Deletion: an alpha-equal pair is dropped.
+"""First-order index unification without K (after Cockx, Devriese and
+Piessens, "Pattern matching without K", and Cockx and Devriese,
+"Proof-relevant unification"). Each pair meets three rules in turn:
 - Solution: a flexible variable, a row variable first when both sides are,
-  is solved by the other side; an occurs-check failure is Stuck.
-- Injectivity and conflict: point constructors and `refl` decompose into
-  their argument pairs, or clash (Mismatch) when the heads differ.
-- Otherwise the pair has a neutral side (a stuck call, an axiom, a path
-  constructor) and is Stuck, never silently rejected or accepted.
+  is solved by the other side; an occurs-check failure is Stuck, so
+  `x ≐ x` is Stuck, not deleted.
+- Injectivity and conflict: point constructors decompose into the pairs of
+  their non-parameter arguments, or clash (Mismatch) when the heads differ;
+  `refl` clashes with a constructor. A datatype with a path constructor
+  may join any two of its point constructors, so those are neither
+  injective nor disjoint.
+- Otherwise the pair has a neutral side (a stuck call, an axiom, a
+  constructor of a higher inductive type) and is Stuck, never silently
+  rejected or accepted.
+There is no deletion rule: it is axiom K. An alpha-equal pair decomposes
+like any other, so it unifies only when it is made of point constructors
+alone, and `refl ≐ refl` (K one level up) is Stuck.
 """
 
 from __future__ import annotations
 
 from .normalize import Normalizer
 from .signature import Signature
-from .terms import (CtorRef, Refl, Term, Var, alpha_eq, free_vars, spine,
-                    subst_term)
+from .terms import CtorRef, Refl, Term, Var, free_vars, spine, subst_term
 
 
 class UnifySuccess:
@@ -44,12 +51,15 @@ UnifyResult = UnifySuccess | UnifyMismatch | UnifyStuck
 
 
 def _rigid_ctor(sig: Signature, t: Term):
-    """(head, args) of a point-constructor spine or of `refl`, or None."""
+    """(head, non-parameter arguments) of a spine of a point constructor of
+    a datatype without path constructors, or of `refl`; else None."""
     if isinstance(t, Refl):
         return t, ()
     head, args = spine(t)
-    if isinstance(head, CtorRef) and not sig.ctor(head.data, head.name).is_path:
-        return head, args
+    if isinstance(head, CtorRef):
+        info = sig.datas[head.data]
+        if not info.has_path:
+            return head, args[len(info.params):]
     return None
 
 
@@ -69,8 +79,6 @@ def unify_terms(sig: Signature, nrm: Normalizer,
         a, b = work.pop(0)
         a = nrm.normalize(subst_term(a, sub))
         b = nrm.normalize(subst_term(b, sub))
-        if alpha_eq(a, b):
-            continue
         fa, fb = _flex(a, flex_row, flex_ctx), _flex(b, flex_row, flex_ctx)
         if fb > fa:
             a, b, fa = b, a, fb
@@ -82,7 +90,7 @@ def unify_terms(sig: Signature, nrm: Normalizer,
             sub[a.name] = b
             continue
         ra, rb = _rigid_ctor(sig, a), _rigid_ctor(sig, b)
-        if not (ra and rb):
+        if not (ra and rb) or isinstance(a, Refl) and isinstance(b, Refl):
             return UnifyStuck(b if ra else a)
         if ra[0] != rb[0] or len(ra[1]) != len(rb[1]):
             return UnifyMismatch(a, b)

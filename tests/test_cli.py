@@ -310,6 +310,32 @@ def test_a_well_typed_forced_inaccessible_pattern_checks(tmp_path, capsys):
     assert run(capsys, "check", str(path)) == (0, f"checked {path}\n", "")
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("hit-disjoint-family", "E-COVERAGE] {}:15:1: def absurd: cannot decide "
+     "coverage for F.onlyLeft: unification stuck on right"),
+    ("hit-disjoint-id", "E-COVERAGE] {}:10:1: def absurd: cannot decide "
+     "coverage of an identity type stuck on left"),
+    ("k", "E-UNIFY-STUCK] {}:4:3: matching refl: unification stuck on "
+     "neutral term x"),
+    ("uip", "E-UNIFY-STUCK] {}:4:3: matching refl: unification stuck on "
+     "neutral term x"),
+    ("k-circle", "E-UNIFY-STUCK] {}:8:3: matching refl: unification stuck on "
+     "neutral term base"),
+    ("k2", "E-UNIFY-STUCK] {}:4:3: matching refl: unification stuck on "
+     "neutral term refl"),
+])
+def test_matching_is_without_k_and_hit_constructors_do_not_clash(
+        capsys, name, expected):
+    path = cp(f"soundness/{name}.fda")
+    assert run(capsys, "check", path) == (
+        1, "", "error[" + expected.format(path) + "\n")
+
+
+def test_point_constructors_without_a_path_still_clash(capsys):
+    path = cp("soundness/disjoint-control.fda")
+    assert run(capsys, "check", path) == (0, f"checked {path}\n", "")
+
+
 def test_cli_output_deterministic(tmp_path, capsys):
     runs = []
     for i in range(2):

@@ -440,8 +440,9 @@ def test_unify_stuck_on_an_axiom_call_on_either_side(nat_f, call_left):
 
 
 def test_unify_refl_with_refl(nat_f):
+    # deleting `refl ≐ refl` would be K one level up
     res = unify(nat_f, [(REFL, REFL)])
-    assert isinstance(res, UnifySuccess) and res.subst == {}
+    assert isinstance(res, UnifyStuck) and res.blocker == REFL
 
 
 def test_split_clash_names_the_freshened_row_variable():
