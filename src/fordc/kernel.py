@@ -470,10 +470,9 @@ class Checker:
                         gen | {x})
             return
         tyn = self.nf(ty)
+        # not None: some row has a constructor or refl pattern here, which
+        # clause elaboration took at this type or a more general one
         cases = split_cases(self.sig, self.nrm, tyn, {n for n, _ in cols} | gen)
-        if cases is None:
-            raise CoverageError(
-                f"def {fname}: cannot split on {print_term(tyn)}")
         catchall = any(all(isinstance(p, (PatVar, PatInacc)) for p in r)
                        for r in rows)
         for c, slots, value, res in cases:

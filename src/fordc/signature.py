@@ -137,14 +137,13 @@ class Signature:
         return self.datas[data].ctors[name]
 
     def split_data_type(self, t: Term) -> tuple[DataInfo, list[Term], list[Term]] | None:
-        """Decompose a fully applied datatype `D params indices`."""
+        """Decompose a datatype `D params indices`, or None when `t` is no
+        datatype. `t` is a type, so `D` is fully applied."""
         head, args = spine(t)
         if not isinstance(head, DataRef):
             return None
         info = self.datas[head.name]
         n_params = len(info.params)
-        if len(args) != n_params + len(info.indices):
-            return None
         return info, args[:n_params], args[n_params:]
 
     def ctor_slots(self, c: CtorInfo, params: list[Term],

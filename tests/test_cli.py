@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
-from fordc import (AxiomDecl, Checker, Clause, Diagnostic, FunDecl, PatVar,
-                   SourceModule, parse)
+from fordc import (Checker, Clause, Diagnostic, FunDecl, PatVar, SourceModule,
+                   parse)
 from fordc import cli, prelude_signature
 from fordc import parser as fordc_parser
 from fordc.cli import main
-from fordc.terms import App, CtorRef, DataRef, Var
+from fordc.terms import CtorRef, DataRef
 from fordc.node import replace
 from conftest import (CORPUS, FORCED_SLOT, NAT_BOOL, arith_theorem,
                       corpus_text, load, numeral)
@@ -221,9 +221,35 @@ def test_error_inside_a_row_or_member_points_at_it(tmp_path, capsys, decls,
      "error[E-TYPE] {}:13:3: pattern suc k at a position forced to zero is "
      "not supported"),
     (FORCED_SLOT.format(".(zero)"), None),
+    ("def x : Type1 => Type1\n",
+     "error[E-UNIVERSE] {}:9:1: Type1 has no type in this theory"),
+    ("def f : Nat => (\\x => x) zero\n",
+     "error[E-TYPE] {}:9:1: cannot infer the type of a lambda; use it where "
+     "a function type is expected"),
+    ("def f : Nat => J (\\z q => Nat) zero refl\n",
+     "error[E-TYPE] {}:9:1: cannot infer the type of refl; use it where an "
+     "identity type is expected"),
+    ("def f : Nat => J (\\z q => Nat) zero zero\n",
+     "error[E-TYPE] {}:9:1: J target: expected Id ? ? ?, got Nat"),
+    ("def f : Nat => \\x => x\n",
+     "error[E-TYPE] {}:9:1: lambda: expected Nat, got ? -> ?"),
+    ("def f (x : zero) : Nat => zero\n",
+     "error[E-TYPE] {}:9:1: expected a type: expected Type0, got Nat"),
+    ("def f (x : Nat) (x : Nat) : Nat => x\n",
+     "error[E-NAME-CLASH] {}:9:1: def f: binder 'x' bound twice"),
+    ("data S\n  | p : S\n",
+     "error[E-TYPE] {}:10:3: path constructor p must target an identity type"),
+    ("data D (A : Type0)\n  | c (A : Nat)\n",
+     "error[E-NAME-CLASH] {}:10:3: constructor c: argument 'A' shadows an "
+     "earlier binder"),
+    ("def f (n : Nat) : Nat\n  | zero zero => zero\n",
+     "error[E-ARITY] {}:10:3: def f: clause has 2 patterns but the function "
+     "takes 1 arguments"),
 ], ids=["row-head", "row-indexed", "row-arity", "row-refl", "row-inaccessible",
         "clause-head", "clause-arity", "clause-refl", "forced-ctor",
-        "forced-inaccessible"])
+        "forced-inaccessible", "type1", "infer-lambda", "infer-refl",
+        "j-target", "lambda-not-a-function", "not-a-type", "binder-twice",
+        "path-not-an-identity", "argument-shadows", "pattern-count"])
 def test_checker_rejections_keep_their_text(tmp_path, capsys, decls,
                                             expected):
     path = tmp_path / "in.fda"
@@ -254,7 +280,26 @@ def plus (m : Nat) (n : Nat) : Nat
     ("def g (p : Id Nat zero (suc zero)) : Nat\n  | refl => zero\n",
      "error[E-UNIFY-CLASH] {}:10:3: matching refl: constructor clash between "
      "zero and suc zero"),
-], ids=["wildcard", "unsplittable-column", "refl-stuck", "refl-clash"])
+    ("def isz (n : Nat) : Bool\n  | zero => true\n  | n => false\n", None),
+    ("def f (a : Nat) (b : Bool) : Bool\n  | zero true => true\n"
+     "  | n false => false\n",
+     "error[E-COVERAGE] {}:9:1: def f: missing canonical case: suc _ true"),
+    ("def half (n : Nat) : Nat\n  | zero => zero\n  | (suc zero) => zero\n"
+     "  | (suc (suc k)) => suc (half k)\n", None),
+    ("def app (g : Nat -> Nat) (x : Nat) : Nat => g x\n\n"
+     "def f (n : Nat) : Nat\n  | zero => zero\n  | (suc k) => app f k\n",
+     "error[E-TERMINATION] {}:11:1: def f: no argument position decreases "
+     "structurally in every recursive call (mark the definition 'partial' "
+     "to skip this check)"),
+    ("data W\n  | leaf\n  | sup (f : Nat -> W)\n\n"
+     "def size (w : W) : Nat\n  | leaf => zero\n"
+     "  | (sup f) => suc (size (f zero))\n",
+     "error[E-TERMINATION] {}:13:1: def size: no argument position decreases "
+     "structurally in every recursive call (mark the definition 'partial' "
+     "to skip this check)"),
+], ids=["wildcard", "unsplittable-column", "refl-stuck", "refl-clash",
+        "variable-row", "variable-row-missing", "nested-recursion",
+        "unapplied-recursion", "function-typed-argument"])
 def test_clause_and_split_branches_keep_their_text(tmp_path, capsys, decls,
                                                    expected):
     path = tmp_path / "in.fda"
@@ -395,6 +440,29 @@ def test_corpus_transform_cases_share_the_cli_path(tmp_path, capsys):
         "ford failed: datatype Bool has no indices to ford",
         "forded module differs from golden",
         "merged module differs from golden"]
+
+
+def test_corpus_names_the_reason_a_case_failed(tmp_path, capsys):
+    mf = tmp_path / "manifest.txt"
+    bad = tmp_path / "bad.fda"
+    bad.write_text("data\n")
+    mf.write_text(f"frob {cp('bool.fda')}\n"
+                  f"check-error {cp('bool.fda')} E-TYPE\n"
+                  f"check-error {cp('bad-split-so-stuck.fda')} E-TYPE\n"
+                  f"parse {bad}\n"
+                  f"golden {cp('so.fda')} {cp('vec.golden.fda')}\n"
+                  f"check {tmp_path / 'missing.fda'}\n")
+    code, out, _ = run(capsys, "corpus", str(mf))
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert code == 1 and out.endswith("0 passed, 6 failed\n")
+    assert [f.split(": ", 1)[1] for f in fails] == [
+        "unknown case kind 'frob'",
+        "expected failure E-TYPE, module checked",
+        "expected E-TYPE, got E-UNIFY-STUCK",
+        "parse failed: expected datatype name, found 'end of input'",
+        "printed text differs from golden",
+        "[Errno 2] No such file or directory: "
+        f"'{tmp_path / 'missing.fda'}'"]
 
 
 def test_ford_suffix_must_give_an_identifier(capsys):
@@ -746,14 +814,23 @@ def test_merge_output_that_does_not_parse_back_is_not_written(tmp_path,
     assert not dest.exists()
 
 
-def test_shared_prefix_stops_at_declarations_too_deep_to_compare():
-    def deep():
-        t = Var("x")
-        for _ in range(5000):
-            t = App(Var("f"), t)
-        return (AxiomDecl("a", t),)
-    shallow = (AxiomDecl("b", Var("x")),)
-    assert cli._shared_prefix(shallow + deep(), shallow + deep()) == 1
+@pytest.mark.parametrize("name, kind, target", [
+    ("vec.fda", "ford", "Vec"), ("d1d2.fda", "merge", ["D1", "D2"]),
+    ("nat.fda", "merge", ["Nat"]),
+], ids=["ford", "merge-block", "merge"])
+def test_a_transform_keeps_the_shared_declarations_as_objects(name, kind,
+                                                              target):
+    # so `_shared_prefix` compares them by identity, and stops at a class
+    # or name, however deep their terms are
+    m = load(name)
+    sig = cli.check_module(m)
+    fn = cli.ford_module if kind == "ford" else cli.merge_block
+    out, _ = fn(m, sig, target)
+    k = cli._shared_prefix(m.decls, out.decls)
+    assert all(a is b for a, b in zip(m.decls[:k], out.decls))
+    if k < len(m.decls):
+        a, b = m.decls[k], out.decls[k]
+        assert type(a) is not type(b) or a.name != b.name
 
 
 @pytest.mark.parametrize("argv", [
@@ -819,3 +896,78 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, source,
     assert err.startswith(f"error[E-INTERNAL] {mod}: internal error: "
                           "RecursionError: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_out_naming_a_directory_is_an_io_error(tmp_path, capsys):
+    dest = tmp_path / "dir"
+    dest.mkdir()
+    code, out, err = run(capsys, "ford", cp("vec.fda"), "--data", "Vec",
+                         "--out", str(dest))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error[E-IO] {dest}: [Errno 21] Is a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any(dest.iterdir())
+
+
+def _module(tmp_path, source):
+    """A corpus file by name, or `source` written to a file."""
+    if source.endswith(".fda"):
+        return cp(source)
+    path = tmp_path / "in.fda"
+    path.write_text(source)
+    return str(path)
+
+
+# every name `merge` may give the enumeration
+ENUM_NAMES = "".join(f"data {n}\n  | {n.lower()}\n\n"
+                     for n in ("U", "U1", "U2", "U3"))
+
+
+@pytest.mark.parametrize("source, types, expected", [
+    ("bool.fda", ",", "E-MERGE-BLOCK] {}: empty merge block"),
+    (ENUM_NAMES, "U,U2",
+     "E-MERGE-BLOCK] {}: block members must be contiguous declarations"),
+    (ENUM_NAMES + "data X\n  | x\n", "X",
+     "E-NAME-CLASH] {}: cannot find a free name for the merged datatypes"),
+], ids=["empty", "not-contiguous", "no-free-name"])
+def test_merge_block_rejections(tmp_path, capsys, source, types, expected):
+    path = _module(tmp_path, source)
+    code, out, err = run(capsys, "merge", path, "--types", types)
+    assert (code, out, err) == (5, "", "error[" + expected.format(path) + "\n")
+
+
+NESTED = """\
+data Nat
+  | zero
+  | suc (n : Nat)
+
+data T : (n : Nat)
+  | node [n] (f : Nat -> T n)
+"""
+
+
+@pytest.mark.parametrize("source, target, expected", [
+    ("d1d2.fda", "D1", "{}:2:1: D1 belongs to a mutual block; fording mutual "
+     "members is not supported"),
+    (NESTED, "T", "{}: argument type Nat -> T n mentions T in a nested "
+     "position; converter generation does not support this"),
+], ids=["mutual-member", "nested-occurrence"])
+def test_ford_target_rejections(tmp_path, capsys, source, target, expected):
+    path = _module(tmp_path, source)
+    code, out, err = run(capsys, "ford", path, "--data", target)
+    assert (code, out) == (4, "")
+    assert err == "error[E-FORD-TARGET] " + expected.format(path) + "\n"
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["check"], "check_module"), (["ford", "--data", "Vec"], "ford_module"),
+], ids=["check", "ford"])
+def test_any_unexpected_exception_is_an_internal_error(monkeypatch, capsys,
+                                                       argv, where):
+    def boom(*args):
+        raise ValueError("boom")
+    monkeypatch.setattr(cli, where, boom)
+    path = cp("vec.fda")
+    assert run(capsys, argv[0], path, *argv[1:]) == (
+        6, "", f"error[E-INTERNAL] {path}: internal error: ValueError: "
+        "boom\n")

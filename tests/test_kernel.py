@@ -784,3 +784,53 @@ def test_checking_is_invariant_under_renaming_locals():
         fresh = _verdict(rename_locals(m, rng, pool=()))
         for _ in range(20):
             assert _verdict(rename_locals(m, rng)) == fresh, name
+
+
+# -- branches that checked modules do not reach ------------------------------
+
+def test_an_unbound_variable_is_a_type_error():
+    # the parser scopes every name, so only a direct caller can pass one
+    with pytest.raises(TypeCheckError) as ei:
+        Checker(check_module(parse(NAT))).infer({}, Var("y"))
+    assert ei.value.message == "unbound variable 'y'"
+
+
+S1_NAT = NAT + """
+data S1
+  | base
+  | loop : Id S1 base base
+
+def pred (n : Nat) : Nat
+  | zero => zero
+  | (suc k) => k
+"""
+
+
+@pytest.mark.parametrize("arg", ["loop", "suc"],
+                         ids=["path-constructor", "missing-slot"])
+def test_an_ill_typed_match_stays_stuck(arg):
+    # a path constructor never computes, and a constructor short of its
+    # slots matches nothing: either way the call stays as it is
+    sig = check_module(parse(S1_NAT))
+    t = pt(sig, f"pred {arg}")
+    assert normalize(sig, t) == t
+
+
+def test_a_function_with_no_clauses_is_stuck():
+    sig = check_module(parse(corpus_text("soundness/disjoint-control.fda")))
+    t = pt(sig, "absurd p", locals_=("p",))
+    assert normalize(sig, t) == t
+
+
+def test_read_back_renames_a_binder_that_shadows_an_enclosing_one():
+    sig = check_module(parse(NAT))
+    t = normalize(sig, pt(sig, "\\x => \\x => x"))
+    assert print_term(t) == "\\x x1 => x1"
+
+
+def test_canonical_values_are_closed():
+    # the row variable `k` is solved by the open index `n`
+    sig = check_module(parse(NAT + "\ndata D : (n : Nat)\n  | c [k]\n"))
+    assert canonical_values(sig, pt(sig, "D n", locals_=("n",)), 2) == []
+    assert canonical_values(sig, pt(sig, "D zero"), 2) == [pt(sig, "c zero")]
+

@@ -2,7 +2,7 @@ import pytest
 
 from fordc import (PatCtor, TransformError, check_module, convertible,
                    merge_block, normalize, parse, parse_term_text,
-                   print_module)
+                   print_module, print_term)
 from fordc.terms import JElim
 from conftest import corpus_text, load_checked
 
@@ -139,3 +139,12 @@ def test_retagged_canonical_terms_check():
     assert values
     for (tag,), v in values:
         ck.check({}, v, sig2.data_applied(plan.family_name, [], [tag]))
+
+
+def test_an_argument_of_another_type_is_not_retagged():
+    m = parse(corpus_text("bool.fda")
+              + "\ndata L\n  | nil\n  | cons (b : Bool) (xs : L)\n")
+    out, plan = merge_block(m, check_module(m), ["L"])
+    check_module(out)
+    cons = out.find_data(plan.family_name).ctors[1]
+    assert [print_term(b.type) for b in cons.args] == ["Bool", "T L_tag"]

@@ -270,9 +270,24 @@ _NAT = "data Nat\n  | zero\n  | suc (n : Nat)\n\n"
     ("mutual\ndata A\n  | a\n", ParseError, (2, 1),
      "expected 'end' closing the mutual block, found 'data'"),
     ("data T\n\t| t @", ParseError, (2, 6), "unexpected character '@'"),
+    (_NAT + "def f : Nat => Nat.foo\n", ScopeError, (5, 16),
+     "unknown constructor 'Nat.foo'"),
+    (_NAT + "def f : Nat => )\n", ParseError, (5, 16),
+     "expected a term, found ')'"),
+    (_NAT + "def f (x) : Nat => zero\n", ParseError, (5, 7),
+     "expected :, found '('"),
+    (_NAT + "def f : Pi -> Nat => zero\n", ParseError, (5, 12),
+     "expected a binder group '(name : type)', found '->'"),
+    (_NAT + "def f (n : Nat) : Nat\n  | (suc )) => zero\n", ParseError,
+     (6, 11), "expected a pattern, found ')'"),
+    (_NAT + "zero\n", ParseError, (5, 1),
+     "expected axiom, data, def, mutual, found 'zero'"),
+    ("mutual\nend\n", ParseError, (2, 1), "expected data, found 'end'"),
 ], ids=["ambiguous-pattern", "shadowing-pattern", "duplicate-ctor",
         "path-ctor-pattern", "pattern-var-twice", "mutual-without-end",
-        "stray-character"])
+        "stray-character", "unknown-qualified-ctor", "no-term",
+        "not-a-binder-group", "pi-without-binder", "no-pattern",
+        "not-a-declaration", "empty-mutual"])
 def test_located_parse_and_scope_errors(src, error, loc, message):
     with pytest.raises(error) as ei:
         parse(src)

@@ -55,6 +55,11 @@ def test_alpha_eq_false_across_classes():
     assert not alpha_eq(Lam("x", y), Lam("y", y))
 
 
+def test_alpha_eq_false_on_a_differing_subterm_before_the_last():
+    assert not alpha_eq(App(x, z), App(y, z))
+    assert not alpha_eq(IdType(A, x, z), IdType(A, y, z))
+
+
 def test_map_term_visits_bottom_up_in_field_order():
     seen = []
 
