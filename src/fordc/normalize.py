@@ -14,9 +14,11 @@ of `Normalizer.eval`, so deep evaluation spends the step budget and heap,
 not the interpreter stack; only `_match` recurses, to the depth of the
 written pattern.
 
-Clauses fire first-match. A neutral scrutinee never skips a clause: if a
-pattern requires a constructor and the value has a neutral head, the whole
-call stays stuck. Path constructors never compute.
+Clauses fire first-match, column by column: a clause with a column whose
+constructor clashes with the value's is skipped, even when an earlier
+column is neutral. The first clause with no clashing column fires when all
+its columns match, and the call is stuck when that clause has a neutral
+column. Path constructors never compute.
 
 The step budget counts β-reductions, `J` on `refl` and clause firings. It
 applies afresh to each `normalize` call and to each side of a

@@ -834,3 +834,31 @@ def test_canonical_values_are_closed():
     assert canonical_values(sig, pt(sig, "D n", locals_=("n",)), 2) == []
     assert canonical_values(sig, pt(sig, "D zero"), 2) == [pt(sig, "c zero")]
 
+
+# -- the clause-matching rule ----------------------------------------------------
+
+BERRY = NAT + """
+data Bool
+  | true
+  | false
+
+def berry (a : Bool) (b : Bool) (c : Bool) : Nat
+  | true false x => zero
+  | false x true => suc zero
+  | x true false => suc (suc zero)
+  | x y z => zero
+
+def e2 (n : Bool) : Id Nat (berry n true false) (suc (suc zero)) => refl
+def e1 (n : Bool) : Id Nat (berry false n true) (suc zero) => refl
+def e0 (n : Bool) : Id Nat (berry true false n) zero => refl
+"""
+
+
+def test_a_clause_with_a_clashing_column_is_skipped_past_a_neutral_one():
+    # `berry n true false` skips the first two clauses on their clashing
+    # `b` and `c` columns, though their `a` column is neutral, and fires
+    # the third; `berry n false true` is stuck on the first clause, which
+    # clashes nowhere but has a neutral column
+    sig = check_module(parse(BERRY))
+    stuck = pt(sig, "berry n false true", locals_=("n",))
+    assert normalize(sig, stuck) == stuck
