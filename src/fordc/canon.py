@@ -2,7 +2,9 @@
 
 Depth counts constructor nesting along argument positions; index values
 forced by availability rows are taken as solved by unification, and the
-family driver enumerates index instantiations to the same depth.
+family driver enumerates index instantiations to the same depth. A case
+whose unification is stuck, as every case over a higher inductive type's
+constructors is, is decided on the closed values by conversion instead.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from .kernel import split_cases
 from .normalize import Normalizer
 from .signature import Signature
 from .terms import Term, Var, free_vars, subst_term
-from .unify import UnifySuccess
+from .unify import UnifyStuck, UnifySuccess
 
 
 def canonical_values(sig: Signature, ty: Term, depth: int,
@@ -20,11 +22,14 @@ def canonical_values(sig: Signature, ty: Term, depth: int,
     nrm = nrm or Normalizer(sig)
     if depth <= 0:
         return []
-    cases = split_cases(sig, nrm, nrm.normalize(ty), set()) or ()
+    tyn = nrm.normalize(ty)
     out: list[Term] = []
-    for c, slots, value, res in cases:
-        if not isinstance(res, UnifySuccess):
+    for c, slots, value, res in split_cases(sig, nrm, tyn, set()) or ():
+        if isinstance(res, UnifyStuck):
+            out += _by_conversion(sig, nrm, tyn, c, slots, value, depth)
             continue
+        if not isinstance(res, UnifySuccess):
+            continue  # a clash: no value of this constructor fits
         n_row = len(c.patvars) if c else 0
         if any(free_vars(subst_term(Var(b.name), res.subst))
                for b in slots[:n_row]):
@@ -32,6 +37,21 @@ def canonical_values(sig: Signature, ty: Term, depth: int,
         for sub in _fill_args(sig, nrm, slots[n_row:], res.subst, depth - 1):
             out.append(subst_term(value, sub))
     return out
+
+
+def _by_conversion(sig, nrm, tyn, c, slots, value, depth) -> list[Term]:
+    """The values of a stuck case of a split on the closed type `tyn`:
+    `refl` when its endpoints are convertible; else each instantiation of
+    the constructor's slots, row variables included, whose row is
+    convertible with the indices."""
+    if c is None:
+        return [value] if nrm.convertible(tyn.lhs, tyn.rhs) else []
+    _, params, indices = sig.split_data_type(tyn)
+    _, row, _ = sig.ctor_slots(c, params, (), [s.name for s in slots])
+    return [subst_term(value, sub)
+            for sub in _fill_args(sig, nrm, slots, {}, depth - 1)
+            if all(nrm.convertible(subst_term(a, sub), i)
+                   for a, i in zip(row, indices))]
 
 
 def _fill_args(sig, nrm, slots, sub, depth):

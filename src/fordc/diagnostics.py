@@ -6,6 +6,8 @@ match on it; the CLI renders diagnostics as text or JSON lines.
 
 from __future__ import annotations
 
+from .node import node
+
 CODES = {
     "E-PARSE": "source text does not match the grammar",
     "E-SCOPE": "unknown, ambiguous, or duplicate name",
@@ -27,24 +29,15 @@ CODES = {
 }
 
 
+@node
 class Diagnostic:
     severity: str  # error | warning | info
     code: str
     message: str
-    path: str | None
-    line: int | None
-    col: int | None
-    evidence: dict | None
-
-    def __init__(self, severity, code, message, path=None, line=None,
-                 col=None, evidence=None):
-        self.severity = severity
-        self.code = code
-        self.message = message
-        self.path = path
-        self.line = line
-        self.col = col
-        self.evidence = evidence
+    path: str | None = None
+    line: int | None = None
+    col: int | None = None
+    evidence: dict | None = None
 
     def text(self) -> str:
         where = self.path or "<input>"
@@ -70,14 +63,17 @@ class Diagnostic:
 
 
 class FordcError(Exception):
-    """Base for all tool errors; knows its diagnostic code."""
+    """Base for all tool errors; knows its diagnostic code, the class's
+    unless `code` is given."""
 
     code = "E-TYPE"
 
-    def __init__(self, message: str, *, loc: tuple[int, int] | None = None,
+    def __init__(self, message: str, *, code: str | None = None,
+                 loc: tuple[int, int] | None = None,
                  evidence: dict | None = None):
         super().__init__(message)
         self.message = message
+        self.code = code or self.code
         self.loc = loc
         self.evidence = evidence
 
@@ -105,16 +101,9 @@ class ScopeError(ParseError):
 class TypeCheckError(FordcError):
     code = "E-TYPE"
 
-    def __init__(self, message: str, *, code: str = "E-TYPE",
-                 loc: tuple[int, int] | None = None,
-                 evidence: dict | None = None):
-        super().__init__(message, loc=loc, evidence=evidence)
-        self.code = code
-
 
 class CoverageError(TypeCheckError):
-    def __init__(self, message: str, **kw):
-        super().__init__(message, code="E-COVERAGE", **kw)
+    code = "E-COVERAGE"
 
 
 class StepBudgetExceeded(FordcError):
@@ -122,8 +111,4 @@ class StepBudgetExceeded(FordcError):
 
 
 class TransformError(FordcError):
-    def __init__(self, message: str, *, code: str,
-                 loc: tuple[int, int] | None = None,
-                 evidence: dict | None = None):
-        super().__init__(message, loc=loc, evidence=evidence)
-        self.code = code
+    """A transform refused its input; each raise gives the `code`."""

@@ -11,8 +11,9 @@ the equality proofs by matching refl.
 from __future__ import annotations
 
 from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
-                    PatRefl, PatVar, SourceModule)
+                    PatRefl, PatVar, SourceModule, Telescope)
 from .diagnostics import TransformError
+from .node import node
 from .parser import is_ident, parse
 from .printer import decl_offset, print_module, print_term
 from .signature import Signature, telescope_vars
@@ -21,6 +22,7 @@ from .terms import (REFL, CtorRef, DataRef, FunRef, IdType, Term, Var,
                     subst_term)
 
 
+@node
 class CtorFordInfo:
     name: str
     # one equation per constrained index: (position, row var, index term)
@@ -29,26 +31,14 @@ class CtorFordInfo:
     # row variables left unconstrained: bound by the row only, not hoisted
     kept: set[str]
 
-    def __init__(self, name):
-        self.name = name
-        self.equations = []
-        self.row_vars = []
-        self.kept = set()
 
-
+@node
 class FordPlan:
     target: str
     forded: str
     per_ctor: list[CtorFordInfo]
     to_name: str
     from_name: str
-
-    def __init__(self, target, forded, per_ctor, to_name, from_name):
-        self.target = target
-        self.forded = forded
-        self.per_ctor = per_ctor
-        self.to_name = to_name
-        self.from_name = from_name
 
     def report(self) -> dict:
         return {
@@ -62,6 +52,18 @@ class FordPlan:
             },
             "converters": {"toFord": self.to_name, "fromFord": self.from_name},
         }
+
+
+def _clear_names(tele: Telescope, globals_: set[str],
+                 avoid: set[str] = frozenset()) -> dict[str, str]:
+    """Each binder's name in `tele`, or when it is global, a fresh one
+    outside `avoid` and the binders' names."""
+    names = {b.name for b in tele} | avoid
+    out: dict[str, str] = {}
+    for b in tele:
+        out[b.name] = b.name if b.name not in globals_ else fresh_name(
+            b.name, names, out.values(), globals_)
+    return out
 
 
 def _rename_data(t: Term, old: str, new: str) -> Term:
@@ -93,6 +95,15 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
             "declaration; pick another --suffix", code="E-NAME-CLASH")
     info = sig.datas[d.name]
     globals_ = sig.all_names()
+    # the printed equations write constructors bare, so a parameter named
+    # like a global name, which would capture them, is renamed
+    pnames = _clear_names(d.params, globals_, {
+        b.name for ci in info.ctors.values() for b in ci.patvars + ci.args})
+    psub = {k: Var(v) for k, v in pnames.items() if k != v}
+    params = tuple(Binder(pnames[b.name], subst_term(b.type, psub))
+                   for b in d.params)
+    indices = tuple(Binder(b.name, subst_term(b.type, psub))
+                    for b in d.indices)
     ctors: list[CtorDecl] = []
     plan_ctors: list[CtorFordInfo] = []
     for c in d.ctors:
@@ -103,36 +114,37 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
                     "its endpoints cannot be transported to the forded "
                     "family", code="E-FORD-TARGET", loc=c.loc)
             ctors.append(CtorDecl(c.name, is_path=True,
-                                  path_type=c.path_type))
+                                  path_type=subst_term(c.path_type, psub)))
             continue
         ci = info.ctors[c.name]
-        taken = ({new_name} | {b.name for b in ci.patvars}
-                 | {b.name for b in ci.args} | {b.name for b in d.params})
-        cf = CtorFordInfo(c.name)
-        row = []
-        eqs: list[Binder] = []
+        taken = ({new_name, *pnames, *pnames.values()}
+                 | {b.name for b in ci.patvars} | {b.name for b in ci.args})
+        row, row_vars, kept, eqs, equations = [], [], set(), [], []
         for pos, (idx, pat, val) in enumerate(
-                zip(d.indices, ci.avail_pats, ci.avail_terms)):
+                zip(indices, ci.avail_pats, ci.avail_terms)):
             if isinstance(pat, PatVar):
                 row.append(pat)  # already unconstrained; keep the variable
-                cf.row_vars.append(pat.name)
-                cf.kept.add(pat.name)
+                row_vars.append(pat.name)
+                kept.add(pat.name)
                 continue
             v = fresh_name(idx.name, taken, globals_)
             taken.add(v)
             row.append(PatVar(v))
-            cf.row_vars.append(v)
+            row_vars.append(v)
             eq = fresh_name("eq", taken, globals_)
             taken.add(eq)
+            val = subst_term(val, psub)
             eqs.append(Binder(eq, IdType(idx.type, val, Var(v))))
-            cf.equations.append((pos, v, val))
-        args = (tuple(b for b in ci.patvars if b.name not in cf.kept)
+            equations.append((pos, v, val))
+        args = (tuple(Binder(b.name, subst_term(b.type, psub))
+                      for b in ci.patvars if b.name not in kept)
                 + tuple(eqs)
-                + tuple(Binder(b.name, _rename_data(b.type, d.name, new_name))
+                + tuple(Binder(b.name, _rename_data(subst_term(b.type, psub),
+                                                    d.name, new_name))
                         for b in ci.args))
         ctors.append(CtorDecl(c.name, tuple(row), args))
-        plan_ctors.append(cf)
-    forded = DataDecl(new_name, d.params, d.indices, tuple(ctors))
+        plan_ctors.append(CtorFordInfo(c.name, equations, row_vars, kept))
+    forded = DataDecl(new_name, params, indices, tuple(ctors))
     to_name = fresh_name(f"to{new_name}", {new_name}, globals_)
     from_name = fresh_name(f"from{new_name}", {new_name, to_name}, globals_)
     return forded, FordPlan(d.name, new_name, plan_ctors, to_name, from_name)
@@ -167,23 +179,28 @@ def gen_converters(plan: FordPlan, sig: Signature
                                telescope_vars(indices))
     ford_ty = sig.data_applied(plan.forded, telescope_vars(params),
                                telescope_vars(indices))
-    lead = [PatVar(b.name) for b in params] + [PatVar(b.name) for b in indices]
+    # a bare pattern that names a constructor reads back as that
+    # constructor, so the leading pattern variables are named clear of them
+    lead = _clear_names(params + indices, globals_)
+    lead_pats = [PatVar(n) for n in lead.values()]
+    pvars = [Var(lead[b.name]) for b in params]
 
     to_clauses = []
     from_clauses = []
     for cf in plan.per_ctor:
         ci = sig.datas[plan.target].ctors[cf.name]
         # `sig` lacks the forded family: no variable may take its name
-        taken = binder_names | {scrut, plan.forded}
-        slots, avail, _ = sig.ctor_slots(ci, telescope_vars(params), taken)
+        taken = binder_names | {*lead.values(), scrut, plan.forded}
+        slots, avail, _ = sig.ctor_slots(ci, pvars, taken)
         local = {b.name: s.name for b, s in zip(ci.patvars + ci.args, slots)}
-        ren = {k: Var(v) for k, v in local.items()}
+        ren = {**{b.name: v for b, v in zip(params, pvars)},
+               **{k: Var(v) for k, v in local.items()}}
         taken |= {s.name for s in slots}
 
         # original -> forded
         sub = [PatVar(s.name) for s in slots]
-        pat_row = lead + [PatCtor(plan.target, cf.name, tuple(sub))]
-        rhs_args: list[Term] = [Var(b.name) for b in params] + avail
+        pat_row = lead_pats + [PatCtor(plan.target, cf.name, tuple(sub))]
+        rhs_args: list[Term] = pvars + avail
         hoisted = [b for b in ci.patvars if b.name not in cf.kept]
         rhs_args += [Var(local[b.name]) for b in hoisted]
         rhs_args += [REFL] * len(cf.equations)
@@ -207,8 +224,8 @@ def gen_converters(plan: FordPlan, sig: Signature
         fsub += [PatVar(local[b.name]) for b in hoisted]
         fsub += [PatRefl()] * len(cf.equations)
         fsub += [PatVar(local[b.name]) for b in ci.args]
-        fpat_row = lead + [PatCtor(plan.forded, cf.name, tuple(fsub))]
-        frhs_args: list[Term] = [Var(b.name) for b in params]
+        fpat_row = lead_pats + [PatCtor(plan.forded, cf.name, tuple(fsub))]
+        frhs_args: list[Term] = list(pvars)
         frhs_args += [Var(local[b.name]) for b in ci.patvars]
         for b in ci.args:
             frhs_args.append(_convert_arg(sig, plan, b.type,

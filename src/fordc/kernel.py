@@ -33,6 +33,13 @@ Ctx = dict[str, Term]
 Case = tuple[CtorInfo | None, list[Binder], Term, UnifyResult]
 
 
+def _located(e: FordcError, loc: tuple[int, int] | None) -> FordcError:
+    """`e`, given the location `loc`, the enclosing one's, if it has none."""
+    if e.loc is None:
+        e.loc = loc
+    return e
+
+
 def split_cases(sig: Signature, nrm: Normalizer, tyn: Term,
                 taken: set[str]) -> Iterator[Case] | None:
     """The cases of a split on the normal type `tyn`, or None when it
@@ -231,9 +238,7 @@ class Checker:
                                         f"data {d.name} parameters")
             self.check_telescope(pctx, d.indices, f"data {d.name} indices")
         except FordcError as e:
-            if e.loc is None:
-                e.loc = d.loc
-            raise
+            raise _located(e, d.loc)
         self.sig.add_data(DataInfo(d, d.params, d.indices))
         return pctx
 
@@ -282,9 +287,7 @@ class Checker:
             return CtorInfo(d.name, c.name, tuple(patvars), tuple(args),
                             tuple(avail_pats), tuple(avail_terms), False, full)
         except FordcError as e:
-            if e.loc is None:
-                e.loc = c.loc
-            raise
+            raise _located(e, c.loc)
 
     def _elab_avail_seq(self, tele, own, pats, patvars: list[Binder],
                         pctx: Ctx, c):
@@ -423,20 +426,18 @@ class Checker:
                 else:
                     raise AssertionError(f"unknown declaration {decl!r}")
             except FordcError as e:
-                if e.loc is None:
-                    e.loc = getattr(decl, "loc", None)
-                raise
+                raise _located(e, getattr(decl, "loc", None))
 
     # -- clauses ---------------------------------------------------------------
 
     def _check_clause(self, f: FunDecl, clause: Clause):
-        if len(clause.pats) != len(f.binders):
-            raise TypeCheckError(
-                f"def {f.name}: clause has {len(clause.pats)} patterns but "
-                f"the function takes {len(f.binders)} arguments",
-                code="E-ARITY", loc=clause.loc)
-        st = _ClauseState(self)
         try:
+            if len(clause.pats) != len(f.binders):
+                raise TypeCheckError(
+                    f"def {f.name}: clause has {len(clause.pats)} patterns "
+                    f"but the function takes {len(f.binders)} arguments",
+                    code="E-ARITY")
+            st = _ClauseState(self)
             for binder, pat in zip(f.binders, clause.pats):
                 expected = subst_term(binder.type, st.binder_map)
                 st.binder_map[binder.name] = st.elab(pat, expected)
@@ -444,9 +445,7 @@ class Checker:
             ret = subst_term(f.ret, st.binder_map)
             self.check(st.ctx, st.current(clause.rhs), ret)
         except FordcError as e:
-            if e.loc is None:
-                e.loc = clause.loc
-            raise
+            raise _located(e, clause.loc)
 
     def _check_coverage(self, f: FunDecl):
         cols = [(b.name, b.type) for b in f.binders]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .decls import (Binder, CtorDecl, DataDecl, FunDecl, MutualBlock,
                     PatCtor, SourceModule)
 from .diagnostics import TransformError
+from .node import node
 from .parser import parse
 from .printer import decl_offset, print_module
 from .signature import Signature
@@ -21,6 +22,7 @@ from .terms import (App, CtorRef, DataRef, IdType, Term, Univ, data_refs,
                     map_term)
 
 
+@node
 class MergePlan:
     block: list[str]
     enum_name: str
@@ -28,14 +30,6 @@ class MergePlan:
     tag_of: dict[str, str]
     ctor_map: dict[str, str]  # "D.c" -> c_T
     paths: list[tuple[str, str, str]]
-
-    def __init__(self, block, enum_name, family_name, tag_of, paths):
-        self.block = block
-        self.enum_name = enum_name
-        self.family_name = family_name
-        self.tag_of = tag_of
-        self.ctor_map = {}
-        self.paths = paths
 
     def report(self) -> dict:
         return {
@@ -143,8 +137,6 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     tag_of = {d.name: claim(f"{d.name}_tag", "generated tag", d.loc)
               for d in members}
 
-    plan = MergePlan([d.name for d in members], enum_name, family_name,
-                     tag_of, list(path_ctors))
     enum_ctors = [CtorDecl(tag_of[d.name]) for d in members]
     for pname, l, r in path_ctors:
         for end in (l, r):
@@ -167,11 +159,11 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
             return u
         return map_term(t, go)
 
-    family_ctors = []
+    family_ctors, ctor_map = [], {}
     for d in members:
         for c in d.ctors:
             cname = claim(f"{c.name}_T", "generated constructor", c.loc)
-            plan.ctor_map[f"{d.name}.{c.name}"] = cname
+            ctor_map[f"{d.name}.{c.name}"] = cname
             args = tuple(Binder(b.name, retag(b.type)) for b in c.args)
             family_ctors.append(CtorDecl(
                 cname, (PatCtor(enum_name, tag_of[d.name]),), args))
@@ -191,6 +183,8 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     # reference is a scope error located in the output
     tail = parse(text, sig.rewind(m.decls[lo:]).name_env(),
                  decl_offset(text, lo))
+    plan = MergePlan([d.name for d in members], enum_name, family_name,
+                     tag_of, ctor_map, list(path_ctors))
     return SourceModule(m.decls[:lo] + tail.decls), plan
 
 

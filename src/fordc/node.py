@@ -1,4 +1,5 @@
-"""Immutable tree nodes: terms, patterns, binders and declarations.
+"""Immutable records: terms, patterns, binders, declarations, and every
+record built once and then only read (`@node`).
 
 `@node` turns a class whose body annotates its fields (with optional
 defaults, after the fields without) into an immutable record:
@@ -11,38 +12,46 @@ defaults, after the fields without) into an immutable record:
 - `repr` reads `Name(field=value, ...)`, every field included.
 
 The class is rebuilt with `__slots__`, so instances carry no `__dict__`.
-The standard `dataclasses` module does the same, but importing it and
-generating its classes cost more than the rest of fordc's start-up.
+One `exec` compiles only its `__init__`; `==` and `hash` read the compared
+fields through one `operator.attrgetter`. The standard `dataclasses` module
+does the same job, but importing it and generating its classes cost more
+than the rest of fordc's start-up.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 def node(cls):
     fields = tuple(cls.__dict__.get("__annotations__", ()))
+    keys = [f for f in fields if f != "loc"]
+    key = attrgetter(*keys) if keys else (lambda self: ())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
     ns = {k: v for k, v in cls.__dict__.items()
           if k not in fields and k not in ("__dict__", "__weakref__")}
     ns.update(__slots__=fields, __match_args__=fields,
               __qualname__=cls.__qualname__, __setattr__=_read_only,
-              __delattr__=_read_only, __repr__=_repr)
+              __delattr__=_read_only, __repr__=_repr, __eq__=__eq__,
+              __hash__=__hash__)
     new = type(cls.__name__, cls.__bases__, ns)
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
     params = ", ".join(f"{f}=d_{f}" if f in defaults else f for f in fields)
-    keys = "".join(f"self.{f}, " for f in fields if f != "loc")
     src = (f"def __init__(self, {params}):\n"
            + "".join(f"    set_{f}(self, {f})\n" for f in fields)
-           + "    pass\n"
-           "def __eq__(self, other):\n"
-           "    if other.__class__ is self.__class__:\n"
-           f"        return ({keys}) == ({keys.replace('self.', 'other.')})\n"
-           "    return NotImplemented\n"
-           "def __hash__(self):\n"
-           f"    return hash(({keys}))\n")
+           + "    pass\n")
     env = {f"set_{f}": getattr(new, f).__set__ for f in fields}
     env.update((f"d_{f}", v) for f, v in defaults.items())
     exec(src, env)
-    for name in ("__init__", "__eq__", "__hash__"):
-        setattr(new, name, env[name])
+    new.__init__ = env["__init__"]
     return new
 
 

@@ -25,6 +25,7 @@ from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl, FunDecl,
                     MutualBlock, PatCtor, PatInacc, PatRefl, Pattern, PatVar,
                     SourceModule)
 from .diagnostics import ParseError, ScopeError
+from .node import node
 from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
                     JElim, Lam, Pi, Term, Univ, Var)
 
@@ -32,17 +33,12 @@ KEYWORDS = {"data", "def", "axiom", "mutual", "end", "partial",
             "Pi", "Id", "J", "refl", "Type0", "Type1"}
 
 
+@node
 class Token:
     kind: str  # keyword text, punct text, "ident", "qident", or "eof"
     text: str
     line: int
     col: int
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
 
 
 class Tokens(Sequence[Token]):

@@ -11,31 +11,22 @@ from collections.abc import Iterable, Sequence
 
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, Declaration,
                     MutualBlock, Pattern, Telescope)
+from .node import node
 from .parser import NameEnv
 from .terms import (DataRef, Pi, Term, Univ, Var, free_vars, fresh_name,
                     mk_app, spine, subst_term)
 
 
+@node
 class CtorInfo:
     data: str
     name: str
-    patvars: Telescope               # row variables, in binding order
-    args: Telescope
-    avail_pats: tuple[Pattern, ...]
-    avail_terms: tuple[Term, ...]    # row read back over params ++ patvars
-    is_path: bool
-    type: Term                       # full constructor type
-
-    def __init__(self, data, name, patvars=(), args=(), avail_pats=(),
-                 avail_terms=(), is_path=False, type=Univ(0)):
-        self.data = data
-        self.name = name
-        self.patvars = patvars
-        self.args = args
-        self.avail_pats = avail_pats
-        self.avail_terms = avail_terms
-        self.is_path = is_path
-        self.type = type
+    patvars: Telescope = ()              # row variables, in binding order
+    args: Telescope = ()
+    avail_pats: tuple[Pattern, ...] = ()
+    avail_terms: tuple[Term, ...] = ()   # row read back over params ++ patvars
+    is_path: bool = False
+    type: Term = Univ(0)                 # full constructor type
 
 
 class DataInfo:

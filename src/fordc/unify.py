@@ -19,32 +19,26 @@ alone, and `refl ≐ refl` (K one level up) is Stuck.
 
 from __future__ import annotations
 
+from .node import node
 from .normalize import Normalizer
 from .signature import Signature
 from .terms import CtorRef, Refl, Term, Var, free_vars, spine, subst_term
 
 
+@node
 class UnifySuccess:
     subst: dict[str, Term]
 
-    def __init__(self, subst):
-        self.subst = subst
 
-
+@node
 class UnifyMismatch:
     lhs: Term
     rhs: Term
 
-    def __init__(self, lhs, rhs):
-        self.lhs = lhs
-        self.rhs = rhs
 
-
+@node
 class UnifyStuck:
     blocker: Term
-
-    def __init__(self, blocker):
-        self.blocker = blocker
 
 
 UnifyResult = UnifySuccess | UnifyMismatch | UnifyStuck

@@ -7,6 +7,10 @@ For every closed, non-`partial` `def f : T` of a module that checks:
   module declares no axiom, the normal form is headed by one of its
   constructors.
 
+A definition with arguments is judged the same way on each application
+to closed canonical values of its argument types, at the instantiated
+return type (`applications`).
+
 Exempt: `partial` definitions, which need not terminate; normal forms stuck
 on an axiom, by skipping canonicity in a module with one; and a normal form
 stuck on a closed `J` along a path constructor, since transport along a
@@ -27,9 +31,10 @@ from pathlib import Path
 
 import pytest
 
-from fordc import (Checker, Clause, FordcError, FunDecl, check_module,
-                   parse, parse_term_text, print_term)
-from fordc.terms import CtorRef, FunRef, JElim, spine
+from fordc import (Checker, Clause, FordcError, FunDecl, SourceModule,
+                   canonical_values, check_module, parse, parse_term_text,
+                   print_term)
+from fordc.terms import CtorRef, FunRef, JElim, mk_app, spine, subst_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -144,3 +149,43 @@ def test_the_oracle_flags_a_wrong_value_and_exempts_the_rest(decls, break_it,
                                                             expected):
     # `break_it` stands in for an unsound checker that let the module through
     assert oracle(decls, break_it) == ([] if expected is None else [expected])
+
+
+def _instances(sig, binders, sub, depth):
+    """Each extension of `sub` by closed canonical values for `binders`,
+    each type instantiated at the values chosen before it."""
+    if not binders:
+        yield sub
+        return
+    b, rest = binders[0], binders[1:]
+    for v in canonical_values(sig, subst_term(b.type, sub), depth):
+        yield from _instances(sig, rest, {**sub, b.name: v}, depth)
+
+
+def applications(module, sig, depth=2):
+    """Each non-`partial` `def` of `module` with arguments, applied to
+    closed canonical values of its argument types at `depth`: one closed
+    `def`, named by the application's text, per application, checked at
+    the instantiated return type into a copy of `sig`. Returns them as a
+    module, and that signature, for `findings`."""
+    sig = sig.copy()
+    apps = []
+    for d in module.decls:
+        if not isinstance(d, FunDecl) or not d.binders or d.partial:
+            continue
+        for sub in _instances(sig, d.binders, {}, depth):
+            t = mk_app(FunRef(d.name), *(sub[b.name] for b in d.binders))
+            app = FunDecl(print_term(t), (), subst_term(d.ret, sub), body=t)
+            Checker(sig).check_fun(app)
+            apps.append(app)
+    return SourceModule(tuple(apps)), sig
+
+
+def test_definitions_applied_to_canonical_values_evaluate_to_canonical_values():
+    flagged, count = [], 0
+    for param in _checked_modules():
+        apps, sig = applications(*param.values)
+        flagged += [f"{param.id}: {f}" for f in findings(apps, sig)]
+        count += len(apps.decls)
+    assert flagged == []
+    assert count >= 21  # so that the oracle cannot pass on nothing
