@@ -24,9 +24,9 @@ def canonical_values(sig: Signature, ty: Term, depth: int,
         return []
     tyn = nrm.normalize(ty)
     out: list[Term] = []
-    for c, slots, value, res in split_cases(sig, nrm, tyn, set()) or ():
+    for c, slots, value, res, eqs in split_cases(sig, nrm, tyn, set()) or ():
         if isinstance(res, UnifyStuck):
-            out += _by_conversion(sig, nrm, tyn, c, slots, value, depth)
+            out += _by_conversion(sig, nrm, slots, value, eqs, depth)
             continue
         if not isinstance(res, UnifySuccess):
             continue  # a clash: no value of this constructor fits
@@ -39,19 +39,15 @@ def canonical_values(sig: Signature, ty: Term, depth: int,
     return out
 
 
-def _by_conversion(sig, nrm, tyn, c, slots, value, depth) -> list[Term]:
-    """The values of a stuck case of a split on the closed type `tyn`:
-    `refl` when its endpoints are convertible; else each instantiation of
-    the constructor's slots, row variables included, whose row is
-    convertible with the indices."""
-    if c is None:
-        return [value] if nrm.convertible(tyn.lhs, tyn.rhs) else []
-    _, params, indices = sig.split_data_type(tyn)
-    _, row, _ = sig.ctor_slots(c, params, (), [s.name for s in slots])
+def _by_conversion(sig, nrm, slots, value, eqs, depth) -> list[Term]:
+    """The values of a stuck case of a split on a closed type: each
+    instantiation of its slots, row variables included, under which each
+    of its equations is convertible (for `refl`, with no slots, the
+    endpoints)."""
     return [subst_term(value, sub)
             for sub in _fill_args(sig, nrm, slots, {}, depth - 1)
-            if all(nrm.convertible(subst_term(a, sub), i)
-                   for a, i in zip(row, indices))]
+            if all(nrm.convertible(subst_term(a, sub), subst_term(b, sub))
+                   for a, b in eqs)]
 
 
 def _fill_args(sig, nrm, slots, sub, depth):

@@ -54,11 +54,10 @@ class FordPlan:
         }
 
 
-def _clear_names(tele: Telescope, globals_: set[str],
-                 avoid: set[str] = frozenset()) -> dict[str, str]:
+def _clear_names(tele: Telescope, globals_: set[str]) -> dict[str, str]:
     """Each binder's name in `tele`, or when it is global, a fresh one
-    outside `avoid` and the binders' names."""
-    names = {b.name for b in tele} | avoid
+    outside the binders' names."""
+    names = {b.name for b in tele}
     out: dict[str, str] = {}
     for b in tele:
         out[b.name] = b.name if b.name not in globals_ else fresh_name(
@@ -95,15 +94,6 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
             "declaration; pick another --suffix", code="E-NAME-CLASH")
     info = sig.datas[d.name]
     globals_ = sig.all_names()
-    # the printed equations write constructors bare, so a parameter named
-    # like a global name, which would capture them, is renamed
-    pnames = _clear_names(d.params, globals_, {
-        b.name for ci in info.ctors.values() for b in ci.patvars + ci.args})
-    psub = {k: Var(v) for k, v in pnames.items() if k != v}
-    params = tuple(Binder(pnames[b.name], subst_term(b.type, psub))
-                   for b in d.params)
-    indices = tuple(Binder(b.name, subst_term(b.type, psub))
-                    for b in d.indices)
     ctors: list[CtorDecl] = []
     plan_ctors: list[CtorFordInfo] = []
     for c in d.ctors:
@@ -114,14 +104,14 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
                     "its endpoints cannot be transported to the forded "
                     "family", code="E-FORD-TARGET", loc=c.loc)
             ctors.append(CtorDecl(c.name, is_path=True,
-                                  path_type=subst_term(c.path_type, psub)))
+                                  path_type=c.path_type))
             continue
         ci = info.ctors[c.name]
-        taken = ({new_name, *pnames, *pnames.values()}
-                 | {b.name for b in ci.patvars} | {b.name for b in ci.args})
+        taken = ({new_name} | {b.name for b in ci.patvars}
+                 | {b.name for b in ci.args} | {b.name for b in d.params})
         row, row_vars, kept, eqs, equations = [], [], set(), [], []
         for pos, (idx, pat, val) in enumerate(
-                zip(indices, ci.avail_pats, ci.avail_terms)):
+                zip(d.indices, ci.avail_pats, ci.avail_terms)):
             if isinstance(pat, PatVar):
                 row.append(pat)  # already unconstrained; keep the variable
                 row_vars.append(pat.name)
@@ -133,18 +123,15 @@ def ford_data(d: DataDecl, sig: Signature, suffix: str = "F"
             row_vars.append(v)
             eq = fresh_name("eq", taken, globals_)
             taken.add(eq)
-            val = subst_term(val, psub)
             eqs.append(Binder(eq, IdType(idx.type, val, Var(v))))
             equations.append((pos, v, val))
-        args = (tuple(Binder(b.name, subst_term(b.type, psub))
-                      for b in ci.patvars if b.name not in kept)
+        args = (tuple(b for b in ci.patvars if b.name not in kept)
                 + tuple(eqs)
-                + tuple(Binder(b.name, _rename_data(subst_term(b.type, psub),
-                                                    d.name, new_name))
+                + tuple(Binder(b.name, _rename_data(b.type, d.name, new_name))
                         for b in ci.args))
         ctors.append(CtorDecl(c.name, tuple(row), args))
         plan_ctors.append(CtorFordInfo(c.name, equations, row_vars, kept))
-    forded = DataDecl(new_name, params, indices, tuple(ctors))
+    forded = DataDecl(new_name, d.params, d.indices, tuple(ctors))
     to_name = fresh_name(f"to{new_name}", {new_name}, globals_)
     from_name = fresh_name(f"from{new_name}", {new_name, to_name}, globals_)
     return forded, FordPlan(d.name, new_name, plan_ctors, to_name, from_name)

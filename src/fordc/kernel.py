@@ -30,7 +30,8 @@ from .unify import (UnifyMismatch, UnifyResult, UnifyStuck, UnifySuccess,
                     unify_terms)
 
 Ctx = dict[str, Term]
-Case = tuple[CtorInfo | None, list[Binder], Term, UnifyResult]
+Case = tuple[CtorInfo | None, list[Binder], Term, UnifyResult,
+             list[tuple[Term, Term]]]
 
 
 def _located(e: FordcError, loc: tuple[int, int] | None) -> FordcError:
@@ -58,17 +59,18 @@ def open_case(sig: Signature, nrm: Normalizer, tyn: Term,
               fixed: Sequence[str | None] = (), prefix: str = "") -> Case:
     """The case of the point constructor `c` in a split on the normal type
     `tyn`: its slots from `Signature.ctor_slots`, the constructor applied
-    to the parameters and slots, and its row unified with the indices. When
-    `c` is None, the `refl` case of an identity type, unifying the
-    endpoints. The variables in `taken` are flexible."""
+    to the parameters and slots, its row unified with the indices, and
+    those (index, row term) equations. When `c` is None, the `refl` case
+    of an identity type, unifying the endpoints. The variables in `taken`
+    are flexible."""
     if c is None:
-        return None, [], REFL, unify_terms(sig, nrm, [(tyn.lhs, tyn.rhs)],
-                                           set(), taken)
+        eqs = [(tyn.lhs, tyn.rhs)]
+        return None, [], REFL, unify_terms(sig, nrm, eqs, set(), taken), eqs
     _, us, vs = sig.split_data_type(tyn)
     slots, avail, row = sig.ctor_slots(c, us, taken, fixed, prefix)
     value = mk_app(CtorRef(c.data, c.name), *us, *telescope_vars(slots))
-    return c, slots, value, unify_terms(sig, nrm, list(zip(vs, avail)), row,
-                                        taken)
+    eqs = list(zip(vs, avail))
+    return c, slots, value, unify_terms(sig, nrm, eqs, row, taken), eqs
 
 
 class Checker:
@@ -474,7 +476,7 @@ class Checker:
         cases = split_cases(self.sig, self.nrm, tyn, {n for n, _ in cols} | gen)
         catchall = any(all(isinstance(p, (PatVar, PatInacc)) for p in r)
                        for r in rows)
-        for c, slots, value, res in cases:
+        for c, slots, value, res, _ in cases:
             if isinstance(res, UnifyMismatch) or (
                     isinstance(res, UnifyStuck) and catchall):
                 continue
@@ -508,7 +510,7 @@ class Checker:
             if cases is None:
                 continue
             stuck = None
-            for c, _, _, res in cases:
+            for c, _, _, res, _ in cases:
                 if isinstance(res, UnifySuccess):
                     break
                 if stuck is None and isinstance(res, UnifyStuck):
@@ -684,7 +686,7 @@ class _ClauseState:
         # elsewhere
         user = [sp.name if isinstance(sp, PatVar) and sp.name != "_" else None
                 for sp in subs]
-        _, slots, value, _ = self._take(
+        _, slots, value, _, _ = self._take(
             open_case(self.sig, self.ck.nrm, tyn, cinfo, set(self.ctx), user,
                       "%"), lambda: f"splitting {print_term(tyn)} with {cn}")
         for b, sp in zip(slots, subs):

@@ -4,15 +4,16 @@ One declaration per block, blocks separated by a blank line and holding
 none, two-space indentation for constructor rows and clauses, and a single
 canonical spelling per form: dependent products print as `Pi (x : A) -> B`,
 non-dependent ones as `A -> B`, lambda runs merge, and constructor
-references are qualified exactly when the bare name is ambiguous within
-the module.
+references are qualified exactly when the bare name is ambiguous: another
+datatype of the module declares a constructor of that name, or a binder
+of the declaration being printed takes it and so could capture it.
 """
 
 from __future__ import annotations
 
-from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl, FunDecl,
-                    MutualBlock, PatCtor, PatInacc, PatRefl, Pattern, PatVar,
-                    SourceModule)
+from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl,
+                    Declaration, FunDecl, MutualBlock, PatCtor, PatInacc,
+                    PatRefl, Pattern, PatVar, SourceModule)
 from .terms import (App, AxiomRef, CtorRef, DataRef, FunRef, IdType, JElim,
                     Lam, Pi, Refl, Term, Univ, Var, free_vars)
 
@@ -25,6 +26,51 @@ def ambiguous_ctors(m: SourceModule) -> frozenset[str]:
         for c in d.ctors:
             seen[c.name] = seen.get(c.name, 0) + 1
     return frozenset(n for n, k in seen.items() if k > 1)
+
+
+def _binder_names(d: Declaration) -> set[str]:
+    """The names that a telescope, a pattern, a `Pi` or a `\\` of `d`
+    binds, on an explicit stack of nodes (where a missing body or path
+    type, None, falls through)."""
+    names: set[str] = set()
+    todo: list = [d]
+    while todo:
+        t = todo.pop()
+        c = t.__class__
+        if c is App:
+            todo += (t.fn, t.arg)
+        elif c is Binder:
+            names.add(t.name)
+            todo.append(t.type)
+        elif c is Pi:
+            names.add(t.binder)
+            todo += (t.domain, t.codomain)
+        elif c is Lam:
+            names.add(t.binder)
+            todo.append(t.body)
+        elif c is IdType:
+            todo += (t.carrier, t.lhs, t.rhs)
+        elif c is JElim:
+            todo += (t.motive, t.base, t.path)
+        elif c is PatVar:
+            names.add(t.name)
+        elif c is PatCtor:
+            todo += t.args
+        elif c is PatInacc:
+            todo.append(t.term)
+        elif c is AxiomDecl:
+            todo.append(t.type)
+        elif c is Clause:
+            todo += (*t.pats, t.rhs)
+        elif c is CtorDecl:
+            todo += (*t.availability, *t.args, t.path_type)
+        elif c is DataDecl:
+            todo += t.params + t.indices + t.ctors
+        elif c is FunDecl:
+            todo += (*t.binders, t.ret, t.body, *t.clauses)
+        elif c is MutualBlock:
+            todo += t.decls
+    return names
 
 
 def print_term(t: Term, prec: int = LOW, qual: frozenset[str] = frozenset()) -> str:
@@ -151,9 +197,11 @@ def _print_fun(f: FunDecl, qual: frozenset[str]) -> str:
 
 def print_module(m: SourceModule) -> str:
     """Canonical text for a module; empty module prints as empty text."""
-    qual = ambiguous_ctors(m)
+    ambiguous = ambiguous_ctors(m)
+    ctors = {c.name for d in m.data_decls() for c in d.ctors}
     blocks = []
     for d in m.decls:
+        qual = ambiguous.union(ctors.intersection(_binder_names(d)))
         if isinstance(d, DataDecl):
             blocks.append(_print_data(d, qual))
         elif isinstance(d, FunDecl):

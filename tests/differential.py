@@ -1,13 +1,13 @@
 """Behaviour differential of the `fordc` CLI against another source tree,
 with the standard library alone.
 
-    python tests/differential.py PARENT_SRC [--mutants N] [--seeds S ...]
+    python tests/differential.py PARENT_SRC
 
 PARENT_SRC is the `src` directory of another checkout, for instance of the
 parent commit unpacked with `git archive`. The inputs are the top-level
-corpus inputs (`corpus/*.fda`, goldens excluded) and, per seed, N one-token
-mutants: a corpus input with one token deleted, duplicated or replaced by
-another of its tokens. Each input gets four runs: `check`, `check --json`,
+corpus inputs (`corpus/*.fda`, goldens excluded) and, for each of SEEDS,
+MUTANTS one-token mutants: a corpus input with one token deleted,
+duplicated or replaced by another of its tokens. Each input gets four runs: `check`, `check --json`,
 `ford --data <its last datatype> --out <file>` and `merge --types <its
 first two datatypes>`. Each tree makes every run in one child process that
 imports its own `fordc` and calls `fordc.cli.main` in-process, on its own
@@ -35,6 +35,8 @@ CORPUS = ROOT / "corpus"
 TOKEN = re.compile(r"--[^\n]*|\w+(?:\.\w+)*|=>|->|\S")
 DATA = re.compile(r"^\s*data\s+(\w+)", re.M)
 OUT = "out.fda"
+SEEDS = (7, 11)
+MUTANTS = 2000
 
 
 def corpus_inputs() -> dict[str, str]:
@@ -101,9 +103,6 @@ def child(src: str, jobs_path: str, results_path: str):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=Path)
-    ap.add_argument("--mutants", type=int, default=2000,
-                    help="mutants per seed (default 2000)")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
     args = ap.parse_args()
     parent = args.parent_src.resolve()
     if not (parent / "fordc" / "cli.py").is_file():
@@ -111,8 +110,8 @@ def main() -> int:
     inputs = {name: (text, "corpus input")
               for name, text in corpus_inputs().items()}
     plain = {name: text for name, (text, _) in inputs.items()}
-    for seed in args.seeds:
-        inputs.update(mutants(plain, seed, args.mutants))
+    for seed in SEEDS:
+        inputs.update(mutants(plain, seed, MUTANTS))
     jobs = [(name, argv) for name, (text, _) in inputs.items()
             for argv in runs(name, text)]
     env = {**os.environ, "PYTHONHASHSEED": "0"}

@@ -265,11 +265,15 @@ NAMED_LIKE_A_CONSTRUCTOR = {
         "data Nat\n  | zero\n  | suc (n : Nat)\n\n"
         "data L (zero : Type0) : (n : Nat)\n  | nil [zero]\n"
         "  | cons [suc m] (x : zero) (xs : L zero m)\n", "L", ["Nat"]),
-    "parameter-renamed-clear-of-a-row-variable": (
+    "parameter-named-zero-and-row-variable-zero1": (
         "data Nat\n  | zero\n  | suc (n : Nat)\n\n"
         "data L (zero : Type0) : (n : Nat)\n  | nil [zero]\n"
         "  | cons [suc zero1] (x : zero) (xs : L zero zero1)\n", "L",
         ["Nat"]),
+    "parameter-named-zero-and-index-zero1": (
+        "data Nat\n  | zero\n  | suc (n : Nat)\n\n"
+        "data L (zero : Type0) : (zero1 : Nat)\n  | nil [zero]\n"
+        "  | cons [suc m] (x : zero) (xs : L zero m)\n", "L", ["Nat"]),
 }
 
 

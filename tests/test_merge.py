@@ -3,7 +3,7 @@ import pytest
 from fordc import (PatCtor, TransformError, check_module, convertible,
                    merge_block, normalize, parse, parse_term_text,
                    print_module, print_term)
-from fordc.terms import JElim
+from fordc.terms import CtorRef, JElim
 from conftest import corpus_text, load_checked
 
 
@@ -148,3 +148,16 @@ def test_an_argument_of_another_type_is_not_retagged():
     check_module(out)
     cons = out.find_data(plan.family_name).ctors[1]
     assert [print_term(b.type) for b in cons.args] == ["Bool", "T L_tag"]
+
+
+def test_merge_keeps_a_constructor_apart_from_a_binder_of_its_name():
+    # the bare `zero` would read back as the parameter: `f` would become
+    # the identity
+    m = parse("data B\n  | t\n\ndata Nat\n  | zero\n  | suc (n : Nat)\n\n"
+              "def f (zero : Nat) : Nat\n  => Nat.zero\n")
+    out, _ = merge_block(m, check_module(m), ["B"])
+    text = print_module(out)
+    assert "def f (zero : Nat) : Nat\n  => Nat.zero\n" in text
+    back = parse(text)
+    check_module(back)
+    assert back.decls[-1].body == CtorRef("Nat", "zero")

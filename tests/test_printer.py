@@ -64,5 +64,25 @@ def f : A => A.mk
     assert parse(out) == m
 
 
+def test_qualification_when_a_binder_takes_the_name():
+    # a bare `zero` would read back as the lambda's variable in each body
+    src = """
+data Nat
+  | zero
+  | suc (n : Nat)
+
+def k : Nat -> Nat
+  => \\zero => Nat.zero
+
+def j (p : Id Nat Nat.zero Nat.zero) : Nat
+  => J (\\zero q => Nat) Nat.zero p
+"""
+    m = parse(src)
+    out = print_module(m)
+    assert "=> \\zero => Nat.zero\n" in out
+    assert "=> J (\\zero q => Nat) Nat.zero p\n" in out
+    assert parse(out) == m
+
+
 def test_empty_module_prints_empty():
     assert print_module(parse("")) == ""
