@@ -6,7 +6,7 @@ canonical spelling per form: dependent products print as `Pi (x : A) -> B`,
 non-dependent ones as `A -> B`, lambda runs merge, and constructor
 references are qualified exactly when the bare name is ambiguous: another
 datatype of the module declares a constructor of that name, or a binder
-of the declaration being printed takes it and so could capture it.
+in scope takes it and so would capture it.
 """
 
 from __future__ import annotations
@@ -28,74 +28,48 @@ def ambiguous_ctors(m: SourceModule) -> frozenset[str]:
     return frozenset(n for n, k in seen.items() if k > 1)
 
 
-def _binder_names(d: Declaration) -> set[str]:
-    """The names that a telescope, a pattern, a `Pi` or a `\\` of `d`
-    binds, on an explicit stack of nodes (where a missing body or path
-    type, None, falls through)."""
-    names: set[str] = set()
-    todo: list = [d]
-    while todo:
-        t = todo.pop()
-        c = t.__class__
-        if c is App:
-            todo += (t.fn, t.arg)
-        elif c is Binder:
-            names.add(t.name)
-            todo.append(t.type)
-        elif c is Pi:
-            names.add(t.binder)
-            todo += (t.domain, t.codomain)
-        elif c is Lam:
-            names.add(t.binder)
-            todo.append(t.body)
-        elif c is IdType:
-            todo += (t.carrier, t.lhs, t.rhs)
-        elif c is JElim:
-            todo += (t.motive, t.base, t.path)
-        elif c is PatVar:
-            names.add(t.name)
-        elif c is PatCtor:
-            todo += t.args
-        elif c is PatInacc:
-            todo.append(t.term)
-        elif c is AxiomDecl:
-            todo.append(t.type)
-        elif c is Clause:
-            todo += (*t.pats, t.rhs)
-        elif c is CtorDecl:
-            todo += (*t.availability, *t.args, t.path_type)
-        elif c is DataDecl:
-            todo += t.params + t.indices + t.ctors
-        elif c is FunDecl:
-            todo += (*t.binders, t.ret, t.body, *t.clauses)
-        elif c is MutualBlock:
-            todo += t.decls
-    return names
+def _bound_names(d: Declaration) -> set[str]:
+    """The names that a telescope of `d` binds. `print_term` scopes a `Pi`
+    or a `\\` binder itself, and a pattern variable named like a
+    constructor would read back as the constructor however it is printed."""
+    tele: list[Binder] = []
+    for x in getattr(d, "decls", (d,)):
+        if isinstance(x, FunDecl):
+            tele += x.binders
+        elif isinstance(x, DataDecl):
+            tele += x.params + x.indices
+            for c in x.ctors:
+                tele += c.args
+    return {b.name for b in tele}
 
 
 def print_term(t: Term, prec: int = LOW, qual: frozenset[str] = frozenset()) -> str:
-    """Print on an explicit stack of pending text and (term, precedence)
-    pairs, so the depth of a term is not bounded by Python's recursion."""
+    """Print on an explicit stack of pending text, (term, precedence)
+    pairs and scopes, so the depth of a term is not bounded by Python's
+    recursion. A scope is the set `qual` of constructors to qualify from
+    there on: under a `Pi` or a `\\`, it also holds the bound names."""
     out: list[str] = []
     todo: list = [(t, prec)]
     while todo:
         item = todo.pop()
-        if type(item) is str:
+        if type(item) is tuple:
+            parts, level = _parts(item[0], qual)
+            if type(parts) is str:  # an atom
+                out.append(parts)
+            elif level < item[1]:
+                todo += [")", *reversed(parts), "("]
+            else:
+                todo += reversed(parts)
+        elif type(item) is str:
             out.append(item)
-            continue
-        parts, level = _parts(item[0], qual)
-        if type(parts) is str:  # an atom
-            out.append(parts)
-        elif level < item[1]:
-            todo += [")", *reversed(parts), "("]
         else:
-            todo += reversed(parts)
+            qual = item
     return "".join(out)
 
 
 def _parts(t: Term, qual: frozenset[str]) -> tuple[str | list, int]:
-    """An atom's text, or a node's text as literal pieces and
-    (subterm, precedence) holes."""
+    """An atom's text, or a node's text as literal pieces, (subterm,
+    precedence) holes and scopes."""
     match t:
         case App(f, a):
             return [(f, APP), " ", (a, ATOM)], APP
@@ -116,17 +90,20 @@ def _parts(t: Term, qual: frozenset[str]) -> tuple[str | list, int]:
             while isinstance(t, Lam):
                 names.append(t.binder)
                 t = t.body
-            return [f"\\{' '.join(names)} => ", (t, LOW)], LOW
+            return [f"\\{' '.join(names)} => ", qual.union(names), (t, LOW),
+                    qual], LOW
         case Pi(x, dom, cod):
             if x == "_" or x not in free_vars(cod):
                 return [(dom, APP), " -> ", (cod, LOW)], LOW
             parts: list = ["Pi "]
+            inner = qual
             while (isinstance(t, Pi) and t.binder != "_"
                    and t.binder in free_vars(t.codomain)):
-                parts += [f"({t.binder} : ", (t.domain, LOW), ") "]
+                inner = inner.union((t.binder,))
+                parts += [f"({t.binder} : ", (t.domain, LOW), ") ", inner]
                 t = t.codomain
-            parts[-1] = ") -> "
-            return parts + [(t, LOW)], LOW
+            parts[-2] = ") -> "
+            return parts + [(t, LOW), qual], LOW
     raise AssertionError(f"unprintable term {t!r}")
 
 
@@ -201,7 +178,8 @@ def print_module(m: SourceModule) -> str:
     ctors = {c.name for d in m.data_decls() for c in d.ctors}
     blocks = []
     for d in m.decls:
-        qual = ambiguous.union(ctors.intersection(_binder_names(d)))
+        captured = ctors.intersection(_bound_names(d))
+        qual = ambiguous | captured if captured else ambiguous
         if isinstance(d, DataDecl):
             blocks.append(_print_data(d, qual))
         elif isinstance(d, FunDecl):

@@ -65,7 +65,8 @@ def f : A => A.mk
 
 
 def test_qualification_when_a_binder_takes_the_name():
-    # a bare `zero` would read back as the lambda's variable in each body
+    # a bare `zero` would read back as the variable in the binder's scope,
+    # and only there
     src = """
 data Nat
   | zero
@@ -74,13 +75,18 @@ data Nat
 def k : Nat -> Nat
   => \\zero => Nat.zero
 
-def j (p : Id Nat Nat.zero Nat.zero) : Nat
-  => J (\\zero q => Nat) Nat.zero p
+def j (p : Id Nat Nat.zero Nat.zero) : Id Nat Nat.zero Nat.zero
+  => J (\\zero q => Id Nat Nat.zero Nat.zero) refl p
+
+def P : Type0
+  => Pi (zero : Nat) -> Id Nat Nat.zero zero -> Nat
 """
     m = parse(src)
     out = print_module(m)
     assert "=> \\zero => Nat.zero\n" in out
-    assert "=> J (\\zero q => Nat) Nat.zero p\n" in out
+    assert ("def j (p : Id Nat zero zero) : Id Nat zero zero\n"
+            "  => J (\\zero q => Id Nat Nat.zero Nat.zero) refl p\n") in out
+    assert "=> Pi (zero : Nat) -> Id Nat Nat.zero zero -> Nat\n" in out
     assert parse(out) == m
 
 
