@@ -54,7 +54,9 @@ def _emit(diag: Diagnostic, json_mode: bool):
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            # drop a leading byte-order mark, as "utf-8-sig" would, without
+            # importing that codec's module
+            return f.read().removeprefix("\ufeff")
     except OSError as e:
         raise _Failure(EXIT_IO, Diagnostic("error", "E-IO", str(e), path))
     except UnicodeDecodeError as e:

@@ -23,6 +23,13 @@ column. Path constructors never compute.
 The step budget counts β-reductions, `J` on `refl` and clause firings. It
 applies afresh to each `normalize` call and to each side of a
 `convertible` call.
+
+A term built only of variables, constructors, datatypes, axioms, universes
+and `refl`, applied to one another and under `Id`, is inert: none of its
+nodes can compute or bind, so it is its own normal form, as a term whose
+head cannot compute is its own `whnf`. `normalize` returns such a term as
+it is, and `convertible` accepts two equal ones, without evaluating them.
+Inert terms spend no steps either way.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from functools import partial
 from .decls import PatInacc, PatRefl, Pattern, PatVar
 from .diagnostics import StepBudgetExceeded
 from .signature import Signature
-from .terms import (App, CtorRef, FunRef, IdType, JElim, Lam, Pi, Refl, Term,
-                    Var, free_vars, fresh_name, mk_app, spine)
+from .terms import (App, AxiomRef, CtorRef, DataRef, FunRef, IdType, JElim,
+                    Lam, Pi, Refl, Term, Univ, Var, free_vars, fresh_name,
+                    mk_app, spine)
 
 DEFAULT_STEP_BUDGET = 100000
 
@@ -83,6 +91,32 @@ def _pi(domain: Term, lam: Lam) -> Term:
 # how `quote` rebuilds the node of a class head from its read-back arguments
 _REBUILD = {IdType: IdType, JElim: _jspine, Pi: _pi}
 
+_INERT_LEAVES = frozenset((Var, CtorRef, DataRef, AxiomRef, Univ, Refl))
+
+
+def _same_inert(a: Term, b: Term) -> bool:
+    """Whether `a` and `b` are one and the same inert term (see the module
+    docstring). Walks both on an explicit stack and compares only leaves:
+    `==` on a compound node recurses, and normal forms can be deep."""
+    work = [(a, b)]
+    while work:
+        a, b = work.pop()
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is IdType:
+            work += ((a.carrier, b.carrier), (a.lhs, b.lhs), (a.rhs, b.rhs))
+            continue
+        while cls is App:  # down the spine: its head must be a leaf
+            work.append((a.arg, b.arg))
+            a, b = a.fn, b.fn
+            cls = a.__class__
+            if cls is not b.__class__:
+                return False
+        if cls not in _INERT_LEAVES or a != b:
+            return False
+    return True
+
 
 class Normalizer:
     def __init__(self, sig: Signature, step_budget: int = DEFAULT_STEP_BUDGET):
@@ -93,6 +127,8 @@ class Normalizer:
     def normalize(self, t: Term) -> Term:
         """Full normal form; each call gets a fresh step budget."""
         self.steps = 0
+        if _same_inert(t, t):
+            return t
         return self.quote(self.eval(t, {}), t)
 
     def whnf(self, t: Term) -> Term:
@@ -106,6 +142,8 @@ class Normalizer:
         """Compare the values of `a` and `b` one pair of heads at a time,
         stopping at the first mismatch. There is no η: `\\x => f x` and `f`
         differ. Each side spends its own step budget."""
+        if _same_inert(a, b):
+            return True
         spent = [0, 0]
 
         def on(side: int, fn, *args):

@@ -201,20 +201,35 @@ def map_term(t: Term, fn) -> Term:
     return fn(t)
 
 
-def alpha_eq(a: Term, b: Term, env: tuple[tuple[str, str], ...] = ()) -> bool:
-    if a.__class__ is not b.__class__:
-        return False
-    if isinstance(a, Var):
-        for ax, by in reversed(env):
-            if ax == a.name or by == b.name:
-                return ax == a.name and by == b.name
-        return a.name == b.name
-    if a.__class__ not in _KIDS:
-        return a == b
-    kids, others = _kids(a), _kids(b)
-    for k, other in zip(kids[:-1], others):
-        if not alpha_eq(k, other, env):
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Equality up to the names of bound variables, on an explicit stack.
+    Each pending pair carries the binders in scope at it, innermost first,
+    as a chain `(a's name, b's name, outer chain)`; a variable is bound by
+    the innermost binder that names it on either side."""
+    work = [(a, b, None)]
+    while work:
+        a, b, env = work.pop()
+        cls = a.__class__
+        if cls is not b.__class__:
             return False
-    if isinstance(a, (Pi, Lam)):
-        env += ((a.binder, b.binder),)
-    return alpha_eq(kids[-1], others[-1], env)
+        if cls is Var:
+            while env is not None:
+                ax, by, env = env
+                if ax == a.name or by == b.name:
+                    if ax != a.name or by != b.name:
+                        return False
+                    break
+            else:
+                if a.name != b.name:
+                    return False
+        elif cls in _KIDS:
+            kids, others = _kids(a), _kids(b)
+            inner = env
+            if cls is Pi or cls is Lam:
+                inner = (a.binder, b.binder, env)
+            work.append((kids.pop(), others.pop(), inner))
+            for k, other in zip(reversed(kids), reversed(others)):
+                work.append((k, other, env))
+        elif a != b:
+            return False
+    return True

@@ -598,6 +598,30 @@ def test_invalid_utf8_is_an_io_error(tmp_path, capsys):
     assert code == 3 and err.startswith(f"error[E-IO] {bad}: ")
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    plain, bom = cp("vec.fda"), tmp_path / "vec.fda"
+    bom.write_bytes(b"\xef\xbb\xbf" + (CORPUS / "vec.fda").read_bytes())
+    code, out, err = run(capsys, "check", plain)
+    assert code == 0
+    assert run(capsys, "check", str(bom)) == (
+        code, out.replace(plain, str(bom)), err)
+    outs = tmp_path / "plain.out.fda", tmp_path / "bom.out.fda"
+    runs = [run(capsys, "ford", src, "--data", "Vec", "--out", str(dest))
+            for src, dest in zip((plain, str(bom)), outs)]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert not outs[1].read_bytes().startswith(b"\xef\xbb\xbf")
+
+
+def test_a_byte_order_mark_after_the_start_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bom.fda"
+    bad.write_bytes(b"data Nat\n\xef\xbb\xbf  | zero\n")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err == (f"error[E-PARSE] {bad}:2:1: unexpected character "
+                   "'\\ufeff'\n")
+
+
 def test_deep_arithmetic_checks_under_default_recursion_limit(tmp_path,
                                                               capsys):
     assert sys.getrecursionlimit() == 1000

@@ -9,8 +9,8 @@ from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
                    prelude_signature, print_term, unify_terms)
 from fordc import cli
 from fordc.normalize import Normalizer
-from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, JElim, Lam,
-                         Var, alpha_eq, data_refs, mk_app)
+from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, IdType, JElim,
+                         Lam, Var, alpha_eq, data_refs, mk_app)
 from conftest import (CORPUS, PLUS_MULT, corpus_text, load, load_checked,
                       mult_term, numeral, rename_locals)
 
@@ -862,3 +862,72 @@ def test_a_clause_with_a_clashing_column_is_skipped_past_a_neutral_one():
     sig = check_module(parse(BERRY))
     stuck = pt(sig, "berry n false true", locals_=("n",))
     assert normalize(sig, stuck) == stuck
+
+
+# -- inert terms: their own normal form ---------------------------------------
+
+def _no_eval(monkeypatch):
+    def refuse(self, t, env):
+        raise AssertionError("an inert term was evaluated")
+    monkeypatch.setattr(Normalizer, "eval", refuse)
+
+
+def test_an_inert_term_normalizes_to_itself_without_evaluation(monkeypatch):
+    sig = check_module(parse(PLUS_MULT))
+    t = pt(sig, "Id Nat (suc n) (suc (suc zero))", locals_=("n",))
+    _no_eval(monkeypatch)
+    assert Normalizer(sig).normalize(t) is t
+
+
+def test_equal_inert_terms_convert_without_evaluation(monkeypatch):
+    sig = check_module(parse(PLUS_MULT))
+    a = pt(sig, "Id Nat (suc n) zero", locals_=("n",))
+    b = pt(sig, "Id Nat (suc n) zero", locals_=("n",))
+    _no_eval(monkeypatch)
+    assert a is not b and Normalizer(sig).convertible(a, b)
+
+
+def test_different_inert_terms_do_not_convert():
+    sig = check_module(parse(PLUS_MULT))
+    nat = DataRef("Nat")
+    assert not convertible(sig, pt(sig, "Nat.zero"), pt(sig, "suc zero"))
+    assert not convertible(sig, IdType(nat, Var("x"), Var("y")),
+                           IdType(nat, Var("y"), Var("x")))
+
+
+def test_a_call_still_converts_by_evaluation():
+    sig = check_module(parse(PLUS_MULT))
+    assert convertible(sig, pt(sig, "plus zero n", locals_=("n",)), Var("n"))
+
+
+def _suc_chain(depth):
+    t = CtorRef("Nat", "zero")
+    for _ in range(depth):
+        t = App(CtorRef("Nat", "suc"), t)
+    return t
+
+
+def test_a_ten_thousand_deep_numeral_is_its_own_normal_form():
+    # the inert check walks on a stack: no RecursionError at the default limit
+    sig = check_module(parse(PLUS_MULT))
+    t, copy = _suc_chain(10000), _suc_chain(10000)
+    assert Normalizer(sig).normalize(t) is t
+    assert convertible(sig, t, copy)
+    assert not convertible(sig, t, App(CtorRef("Nat", "suc"), copy))
+
+
+def test_a_binder_is_still_renamed_on_read_back():
+    sig = check_module(parse(PLUS_MULT))
+    t = Lam("x", Lam("x", Var("x")))
+    assert normalize(sig, t) == Lam("x", Lam("x1", Var("x1")))
+
+
+def test_alpha_eq_compares_ten_thousand_deep_normal_forms():
+    # the normal form of `mult (mult ten ten) (mult ten ten)` in
+    # deep/deep-eval.fda, computed twice
+    sig = check_module(parse((CORPUS / "deep" / "deep-eval.fda").read_text()))
+    t = pt(sig, "mult (mult ten ten) (mult ten ten)")
+    once, twice = normalize(sig, t), normalize(sig, t)
+    assert once is not twice and unary_value(once) == 10000
+    assert alpha_eq(once, twice)
+    assert not alpha_eq(once, App(CtorRef("Nat", "suc"), twice))
