@@ -102,18 +102,18 @@ class MutualBlock:
 Declaration = DataDecl | FunDecl | AxiomDecl | MutualBlock
 
 
+def members(decl: Declaration) -> tuple[Declaration, ...]:
+    """What `decl` declares: a mutual block's datatypes, else `decl`."""
+    return decl.decls if isinstance(decl, MutualBlock) else (decl,)
+
+
 @node
 class SourceModule:
     decls: tuple[Declaration, ...] = ()
 
     def data_decls(self) -> list[DataDecl]:
-        out = []
-        for d in self.decls:
-            if isinstance(d, DataDecl):
-                out.append(d)
-            elif isinstance(d, MutualBlock):
-                out.extend(d.decls)
-        return out
+        return [d for decl in self.decls for d in members(decl)
+                if isinstance(d, DataDecl)]
 
     def find_data(self, name: str) -> DataDecl | None:
         for d in self.data_decls():

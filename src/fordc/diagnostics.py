@@ -20,6 +20,7 @@ CODES = {
     "E-TERMINATION": "no argument position decreases structurally",
     "E-POSITIVITY": "datatype occurs in a negative position",
     "E-STEP-BUDGET": "normalization exceeded the step budget",
+    "E-DEPTH": "input nested too deeply for the parser or the checker",
     "E-NAME-CLASH": "generated or declared name collides with an existing one",
     "E-FORD-TARGET": "datatype cannot be forded",
     "E-FORD-NO-INDICES": "ford target has no indices",
@@ -87,8 +88,9 @@ class ParseError(FordcError):
     code = "E-PARSE"
 
     def __init__(self, message: str, line: int, col: int,
-                 expected: frozenset[str] = frozenset()):
-        super().__init__(message, loc=(line, col))
+                 expected: frozenset[str] = frozenset(), *,
+                 code: str | None = None):
+        super().__init__(message, code=code, loc=(line, col))
         self.expected = expected
 
 

@@ -11,7 +11,7 @@ the equality proofs by matching refl.
 from __future__ import annotations
 
 from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
-                    PatRefl, PatVar, SourceModule, Telescope)
+                    PatRefl, PatVar, SourceModule, Telescope, members)
 from .diagnostics import TransformError
 from .node import node
 from .parser import is_ident, parse
@@ -243,11 +243,10 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
     if d is None:
         raise TransformError(f"no datatype named {name!r} in the module",
                              code="E-FORD-TARGET")
-    for decl in m.decls:
-        if getattr(decl, "decls", None) and d in decl.decls:
-            raise TransformError(
-                f"{name} belongs to a mutual block; fording mutual members "
-                "is not supported", code="E-FORD-TARGET", loc=d.loc)
+    if any(decl is not d and d in members(decl) for decl in m.decls):
+        raise TransformError(
+            f"{name} belongs to a mutual block; fording mutual members "
+            "is not supported", code="E-FORD-TARGET", loc=d.loc)
     forded, plan = ford_data(d, sig, suffix)
     to_fun, from_fun = gen_converters(plan, sig)
     text = print_module(SourceModule(m.decls + (forded, to_fun, from_fun)))

@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     PatCtor, PatInacc, PatRefl, Pattern, PatVar, SourceModule,
-                    Telescope)
+                    Telescope, members)
 from .diagnostics import CoverageError, FordcError, TypeCheckError
 from .normalize import DEFAULT_STEP_BUDGET, Normalizer
 from .parser import NameEnv, parse
@@ -411,8 +411,7 @@ class Checker:
     def check_module(self, m: SourceModule):
         for decl in m.decls:
             try:
-                for d in (decl.decls if isinstance(decl, MutualBlock)
-                          else (decl,)):
+                for d in members(decl):
                     if self.sig.has_name(d.name):
                         raise TypeCheckError(
                             f"declaration {d.name!r} collides with an "
@@ -428,7 +427,10 @@ class Checker:
                 else:
                     raise AssertionError(f"unknown declaration {decl!r}")
             except FordcError as e:
-                raise _located(e, getattr(decl, "loc", None))
+                raise _located(e, decl.loc)
+            except RecursionError:
+                raise TypeCheckError("declaration nested too deeply to check",
+                                     code="E-DEPTH", loc=decl.loc) from None
 
     # -- clauses ---------------------------------------------------------------
 

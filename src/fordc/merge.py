@@ -11,8 +11,8 @@ higher-enumeration used for the loop-based integers.
 
 from __future__ import annotations
 
-from .decls import (Binder, CtorDecl, DataDecl, FunDecl, MutualBlock,
-                    PatCtor, SourceModule)
+from .decls import (Binder, CtorDecl, DataDecl, FunDecl, PatCtor,
+                    SourceModule, members)
 from .diagnostics import TransformError
 from .node import node
 from .parser import parse
@@ -50,23 +50,17 @@ def _block_positions(m: SourceModule, names: list[str]) -> tuple[int, int]:
     mutual block must be merged whole."""
     wanted = set(names)
     hit: list[int] = []
+    covered: set[str] = set()
     for i, decl in enumerate(m.decls):
-        if isinstance(decl, DataDecl) and decl.name in wanted:
+        datas = {d.name for d in members(decl) if isinstance(d, DataDecl)}
+        if datas & wanted:
+            if not datas <= wanted:  # only a mutual block declares several
+                raise TransformError(
+                    "a mutual block must be merged whole; missing "
+                    + ", ".join(sorted(datas - wanted)),
+                    code="E-MERGE-BLOCK", loc=decl.loc)
             hit.append(i)
-        elif isinstance(decl, MutualBlock):
-            members = {d.name for d in decl.decls}
-            if members & wanted:
-                if not members <= wanted:
-                    raise TransformError(
-                        "a mutual block must be merged whole; missing "
-                        + ", ".join(sorted(members - wanted)),
-                        code="E-MERGE-BLOCK", loc=decl.loc)
-                hit.append(i)
-    covered = set()
-    for i in hit:
-        decl = m.decls[i]
-        covered |= ({d.name for d in decl.decls}
-                    if isinstance(decl, MutualBlock) else {decl.name})
+            covered |= datas
     if covered != wanted:
         missing = sorted(wanted - covered)
         raise TransformError(
@@ -113,14 +107,12 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
         raise TransformError("empty merge block", code="E-MERGE-BLOCK")
     wanted = set(names)
     lo, hi = _block_positions(m, names)
-    members: list[DataDecl] = []
-    for decl in m.decls[lo:hi + 1]:
-        members.extend(decl.decls if isinstance(decl, MutualBlock) else [decl])
-    for d in members:
+    block = [d for decl in m.decls[lo:hi + 1] for d in members(decl)]
+    for d in block:
         _check_member(d, wanted)
 
     taken = (sig.all_names() - wanted
-             - {c.name for d in members for c in d.ctors}) | wanted
+             - {c.name for d in block for c in d.ctors}) | wanted
 
     def claim(name: str, what: str, loc=None) -> str:
         if name in taken:
@@ -135,9 +127,9 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     family_name = _pick(["T", "T1", "T2", "T3"], taken)
     taken.add(family_name)
     tag_of = {d.name: claim(f"{d.name}_tag", "generated tag", d.loc)
-              for d in members}
+              for d in block}
 
-    enum_ctors = [CtorDecl(tag_of[d.name]) for d in members]
+    enum_ctors = [CtorDecl(tag_of[d.name]) for d in block]
     for pname, l, r in path_ctors:
         for end in (l, r):
             if end not in tag_of:
@@ -160,7 +152,7 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
         return map_term(t, go)
 
     family_ctors, ctor_map = [], {}
-    for d in members:
+    for d in block:
         for c in d.ctors:
             cname = claim(f"{c.name}_T", "generated constructor", c.loc)
             ctor_map[f"{d.name}.{c.name}"] = cname
@@ -173,7 +165,7 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     aliases = [FunDecl(d.name, (), Univ(0),
                        body=App(DataRef(family_name),
                                 CtorRef(enum_name, tag_of[d.name])))
-               for d in members]
+               for d in block]
 
     text = print_module(SourceModule(
         m.decls[:lo] + (enum_decl, family_decl, *aliases) + m.decls[hi + 1:]))
@@ -183,7 +175,7 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     # reference is a scope error located in the output
     tail = parse(text, sig.rewind(m.decls[lo:]).name_env(),
                  decl_offset(text, lo))
-    plan = MergePlan([d.name for d in members], enum_name, family_name,
+    plan = MergePlan([d.name for d in block], enum_name, family_name,
                      tag_of, ctor_map, list(path_ctors))
     return SourceModule(m.decls[:lo] + tail.decls), plan
 

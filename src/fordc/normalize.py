@@ -7,7 +7,8 @@ over an environment. A `VRigid` is a head that does not compute applied to
 a tuple of argument values; besides the usual heads (a variable,
 constructor, datatype, axiom, universe, `refl`, or a function call that
 cannot fire) its head may be one of the term classes `IdType`, `JElim` and
-`Pi`, whose arguments are the node's own subterms as values (see
+`Pi`. One rule holds for every class head: its arguments are the node's
+own parts as values, then the arguments the node is applied to (see
 `VRigid`). Evaluation is call-by-value: the arguments of a spine evaluate
 before its head. Every position, tail or not, runs on the explicit stack
 of `Normalizer.eval`, so deep evaluation spends the step budget and heap,
@@ -55,12 +56,11 @@ _ARGS, _PATH, _PARTS = 0, 1, 2
 class VRigid:
     """A head that does not compute, applied to a tuple of argument values.
 
-    The head is a term, or one of three term classes whose arguments stand
-    for the node's subterms:
+    The head is a term, or one of three term classes, whose arguments are
+    the node's parts, then the arguments the node is applied to. The parts:
 
     - `IdType`: the carrier, then the two endpoints;
-    - `JElim`: the motive, the base and a path that is not `refl`, then the
-      arguments the `J` is applied to;
+    - `JElim`: the motive, the base and a path that is not `refl`;
     - `Pi`: the domain, then the codomain as a `VLam` over the binder.
     """
     __slots__ = ("head", "args")
@@ -80,16 +80,16 @@ Value = VRigid | VLam
 Env = dict[str, Value]
 
 
-def _jspine(m: Term, b: Term, p: Term, *args: Term) -> Term:
-    return mk_app(JElim(m, b, p), *args)
+def _rebuild(head: Term | type, *args: Term) -> Term:
+    """`head` applied to the read-back `args`; a class head first takes its
+    parts (see `VRigid`)."""
+    if head is Pi:
+        (domain, lam), args = args[:2], args[2:]
+        head = Pi(lam.binder, domain, lam.body)
+    elif type(head) is type:  # IdType or JElim
+        head, args = head(*args[:3]), args[3:]
+    return mk_app(head, *args)
 
-
-def _pi(domain: Term, lam: Lam) -> Term:
-    return Pi(lam.binder, domain, lam.body)
-
-
-# how `quote` rebuilds the node of a class head from its read-back arguments
-_REBUILD = {IdType: IdType, JElim: _jspine, Pi: _pi}
 
 _INERT_LEAVES = frozenset((Var, CtorRef, DataRef, AxiomRef, Univ, Refl))
 
@@ -194,7 +194,8 @@ class Normalizer:
         - `_PATH`: the path of the `J` node `a`; `refl` fires it, applied to
           `b`, and any other path pushes a `_PARTS` frame;
         - `_PARTS`: the parts of a `Pi`, an `Id` or a stuck `J`; then the
-          value is the class head `a` applied to `vals` and the tail `b`.
+          value is the class head `a` applied to `vals` and the arguments
+          `b` pending at the node.
         """
         stack: list[list] = []
         args: list[Value] = []  # pending arguments of the head `t`
@@ -238,12 +239,12 @@ class Normalizer:
                 continue
             elif cls is Pi:
                 stack.append([_PARTS, (t.domain,), [], env, Pi,
-                              (VLam(t.binder, t.codomain, env),)])
+                              (VLam(t.binder, t.codomain, env), *args)])
                 t, args = t.domain, []
                 continue
             elif cls is IdType:
                 stack.append([_PARTS, (t.carrier, t.lhs, t.rhs), [], env,
-                              IdType, ()])
+                              IdType, args])
                 t, args = t.carrier, []
                 continue
             else:  # constructor, datatype, axiom, universe, refl
@@ -341,9 +342,8 @@ class Normalizer:
             if isinstance(item, VRigid):
                 head = item.head
                 if item.args:
-                    make = (_REBUILD[head] if type(head) is type
-                            else partial(mk_app, head))
-                    todo.append((make, len(item.args), None))
+                    todo.append((partial(_rebuild, head), len(item.args),
+                                 None))
                     todo.extend(reversed(item.args))
                 else:
                     out.append(head)

@@ -558,7 +558,11 @@ def parse(source: str, env: NameEnv | None = None,
     """Parse and scope-check the module in `source` from the line that
     begins at `start`. Raises ParseError / ScopeError."""
     p = Parser(lex(source, start), (env or NameEnv()).copy())
-    return p.parse_module()
+    try:
+        return p.parse_module()
+    except RecursionError:
+        raise ParseError("input nested too deeply to parse", *p.loc(),
+                         code="E-DEPTH") from None
 
 
 def parse_term_text(source: str, env: NameEnv,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl,
                     Declaration, FunDecl, MutualBlock, PatCtor, PatInacc,
-                    PatRefl, Pattern, PatVar, SourceModule)
+                    PatRefl, Pattern, PatVar, SourceModule, members)
 from .terms import (App, AxiomRef, CtorRef, DataRef, FunRef, IdType, JElim,
                     Lam, Pi, Refl, Term, Univ, Var, free_vars)
 
@@ -33,7 +33,7 @@ def _bound_names(d: Declaration) -> set[str]:
     or a `\\` binder itself, and a pattern variable named like a
     constructor would read back as the constructor however it is printed."""
     tele: list[Binder] = []
-    for x in getattr(d, "decls", (d,)):
+    for x in members(d):
         if isinstance(x, FunDecl):
             tele += x.binders
         elif isinstance(x, DataDecl):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, Declaration,
-                    MutualBlock, Pattern, Telescope)
+                    Pattern, Telescope, members)
 from .node import node
 from .parser import NameEnv
 from .terms import (DataRef, Pi, Term, Univ, Var, free_vars, fresh_name,
@@ -108,8 +108,7 @@ class Signature:
         checked into this one, declared: the signature as it stood before
         them. Constructor names repeat across datatypes, so `names` is
         rebuilt from what is kept rather than subtracted."""
-        gone = {d.name for decl in decls for d in
-                (decl.decls if isinstance(decl, MutualBlock) else (decl,))}
+        gone = {d.name for decl in decls for d in members(decl)}
         datas = {n: d for n, d in self.datas.items() if n not in gone}
         funs = {n: f for n, f in self.funs.items() if n not in gone}
         axioms = {n: a for n, a in self.axioms.items() if n not in gone}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import stat
 import sys
@@ -913,13 +914,37 @@ def test_evaluation_ten_thousand_levels_deep_checks(capsys):
                          ids=["check", "ford"])
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, source,
                                               argv):
+    # nesting deeper than the parser's stack is a located E-DEPTH, not an
+    # internal error; exit 6 is pinned by
+    # test_any_unexpected_exception_is_an_internal_error
     mod = tmp_path / "deep.fda"
     mod.write_text(source)
     code, out, err = run(capsys, argv[0], str(mod), *argv[1:])
-    assert code == cli.EXIT_INTERNAL == 6 and out == ""
-    assert err.startswith(f"error[E-INTERNAL] {mod}: internal error: "
-                          "RecursionError: ")
+    assert code == cli.EXIT_PARSE == 2 and out == ""
+    assert re.match(rf"error\[E-DEPTH\] {re.escape(str(mod))}:1:\d+: ", err)
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+DEEP_SUC = ("data Nat\n  | zero\n  | suc (n : Nat)\n\ndef big : Nat => "
+            + "suc (" * 10000 + "zero" + ")" * 10000 + "\n")
+# the occurs check of the split on `c m` walks the 10,000-deep index
+DEEP_INDEX = ("\n".join(corpus_text("deep/deep-eval.fda").splitlines()[:19])
+              + "\n\ndata V : (n : Nat) | c [m]\n\ndef f (v : V (mult (mult "
+              "ten ten) (mult ten ten))) : Nat | (c m) => zero\n")
+
+
+@pytest.mark.parametrize("source, code, line", [
+    (DEEP_SUC, 2, 5), (DEEP_INDEX, 1, 23),
+], ids=["suc-literal", "occurs-check"])
+def test_nesting_too_deep_is_a_located_depth_error(tmp_path, capsys, source,
+                                                   code, line):
+    # the parser's column depends on the Python version's stack depth
+    mod = tmp_path / "deep.fda"
+    mod.write_text(source)
+    status, out, err = run(capsys, "check", str(mod))
+    assert (status, out) == (code, "")
+    assert re.fullmatch(rf"error\[E-DEPTH\] {re.escape(str(mod))}:{line}:"
+                        r"\d+: [^\n]+\n", err)
 
 
 def test_out_naming_a_directory_is_an_io_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fordc import (PatVar, TransformError, TypeCheckError,
                    canonical_family_values, check_module, convertible,
                    ford_module, normalize, parse, parse_term_text)
 from fordc.cli import main
-from fordc.printer import print_pattern
+from fordc.printer import print_module, print_pattern
 from fordc.terms import DataRef, FunRef, IdType, alpha_eq, mk_app
 from conftest import corpus_text, load_checked
 
@@ -292,3 +292,54 @@ def test_ford_of_a_binder_named_like_a_constructor(tmp_path, capsys, src,
     _, plan = ford_module(m0, check_module(m0), target)
     env = sig2.name_env()
     _round_trips(sig2, plan, [parse_term_text(p, env) for p in params], 3, 4)
+
+
+# -- the paper's equivalence: the converters are mutually inverse ---------------
+
+AP = """
+def ap (A : Type0) (B : Type0) (f : A -> B) (x : A) (y : A) (p : Id A x y) : Id B (f x) (f y)
+  => J (\\z q => Id B (f x) (f z)) refl p
+"""
+
+VEC_CONS_FROM_TO = ("ap (Vec A m) (Vec A (suc m)) (Vec.cons A m x) "
+                    "(fromVecF A m (toVecF A m xs)) xs (fromTo A m xs)")
+
+VEC_LEMMAS = AP + """
+def fromTo (A : Type0) (n : Nat) (v : Vec A n) : Id (Vec A n) (fromVecF A n (toVecF A n v)) v
+  | A n Vec.nil => refl
+  | A n (Vec.cons m x xs) => {cons}
+
+def toFrom (A : Type0) (n : Nat) (v : VecF A n) : Id (VecF A n) (toVecF A n (fromVecF A n v)) v
+  | A n (VecF.nil n1 refl) => refl
+  | A n (VecF.cons n1 m refl x xs) => ap (VecF A m) (VecF A (suc m)) (VecF.cons A (suc m) m refl x) (toVecF A m (fromVecF A m xs)) xs (toFrom A m xs)
+"""
+
+HELIX_LEMMAS = """
+def fromTo (x : S1) (v : Helix x) : Id (Helix x) (fromHelixF x (toHelixF x v)) v
+  | x Helix.zero => refl
+
+def toFrom (x : S1) (v : HelixF x) : Id (HelixF x) (toHelixF x (fromHelixF x v)) v
+  | x (HelixF.zero x1 refl) => refl
+"""
+
+
+def _check_with_lemmas(name, target, lemmas):
+    m, sig = load_checked(name)
+    out, _ = ford_module(m, sig, target)
+    return check_module(parse(print_module(out) + lemmas))
+
+
+@pytest.mark.parametrize("name, target, lemmas", [
+    ("vec.fda", "Vec", VEC_LEMMAS.format(cons=VEC_CONS_FROM_TO)),
+    ("helix.fda", "Helix", HELIX_LEMMAS),
+], ids=["Vec", "Helix"])
+def test_the_converters_are_proved_mutually_inverse(name, target, lemmas):
+    sig = _check_with_lemmas(name, target, lemmas)
+    assert {"fromTo", "toFrom"} <= set(sig.funs)
+
+
+def test_a_wrong_round_trip_proof_is_rejected():
+    with pytest.raises(TypeCheckError) as ei:
+        _check_with_lemmas("vec.fda", "Vec", VEC_LEMMAS.format(cons="refl"))
+    assert ei.value.code == "E-TYPE"
+    assert "refl endpoints differ" in ei.value.message

@@ -10,7 +10,7 @@ from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
 from fordc import cli
 from fordc.normalize import Normalizer
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, IdType, JElim,
-                         Lam, Var, alpha_eq, data_refs, mk_app)
+                         Lam, Pi, Var, alpha_eq, data_refs, mk_app)
 from conftest import (CORPUS, PLUS_MULT, corpus_text, load, load_checked,
                       mult_term, numeral, rename_locals)
 
@@ -931,3 +931,33 @@ def test_alpha_eq_compares_ten_thousand_deep_normal_forms():
     assert once is not twice and unary_value(once) == 10000
     assert alpha_eq(once, twice)
     assert not alpha_eq(once, App(CtorRef("Nat", "suc"), twice))
+
+
+# -- class heads take arguments like any other head ----------------------------
+
+_ZERO = CtorRef("Nat", "zero")
+
+
+@pytest.mark.parametrize("node", [IdType(DataRef("Nat"), _ZERO, _ZERO),
+                                  Pi("x", DataRef("Nat"), DataRef("Nat"))],
+                         ids=["Id", "Pi"])
+def test_a_class_head_keeps_the_arguments_it_is_applied_to(node):
+    sig = check_module(parse(PLUS_MULT))
+    applied = App(node, _ZERO)
+    assert not convertible(sig, applied, node)
+    assert not convertible(sig, node, applied)
+    # `(\f => f zero) node`: the argument reaches the node through a variable
+    assert normalize(sig, App(Lam("f", App(Var("f"), _ZERO)), node)) == applied
+    assert normalize(sig, applied) == applied
+
+
+def test_running_out_of_stack_is_a_depth_error_at_the_declaration(
+        monkeypatch):
+    # a real overflow turns line tracing off, so raise it at shallow depth
+    def overflow(self, f):
+        raise RecursionError("maximum recursion depth exceeded")
+    m = parse("data Unit | tt\n\ndef u : Unit => tt\n")
+    monkeypatch.setattr(Checker, "check_fun", overflow)
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(m)
+    assert ei.value.code == "E-DEPTH" and ei.value.loc == (3, 1)

@@ -373,3 +373,14 @@ def test_lexer_matches_the_reference_on_character_mutants():
         i = rng.randrange(len(text))
         cut = i + rng.randrange(2)  # 0: insert, 1: replace
         _lexes_like_the_reference(text[:i] + rng.choice(pieces) + text[cut:])
+
+
+def test_running_out_of_stack_is_a_depth_error_at_the_current_token(
+        monkeypatch):
+    # a real overflow turns line tracing off, so raise it at shallow depth
+    def overflow(self, locals_):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(Parser, "parse_term", overflow)
+    with pytest.raises(ParseError) as ei:
+        parse("data Unit | tt\n\ndef u : Unit => tt\n")
+    assert ei.value.code == "E-DEPTH" and ei.value.loc == (3, 9)
