@@ -66,11 +66,11 @@ def canonical_family_values(sig: Signature, data: str, params: list[Term],
     """(index values, inhabitant) pairs for a datatype at closed indices
     enumerated to the same depth."""
     nrm = Normalizer(sig)
-    info = sig.datas[data]
-    psub = {b.name: v for b, v in zip(info.params, params)}
+    d = sig.datas[data].decl
+    psub = {b.name: v for b, v in zip(d.params, params)}
     out: list[tuple[list[Term], Term]] = []
-    for sub in _fill_args(sig, nrm, info.indices, psub, depth):
-        vec = [sub[b.name] for b in info.indices]
+    for sub in _fill_args(sig, nrm, d.indices, psub, depth):
+        vec = [sub[b.name] for b in d.indices]
         ty = sig.data_applied(data, params, vec)
         out.extend((vec, v) for v in canonical_values(sig, ty, depth, nrm))
     return out

@@ -8,7 +8,7 @@ compares equal structurally.
 from __future__ import annotations
 
 from .node import node
-from .terms import Term
+from .terms import Pi, Term, Var
 
 Loc = tuple[int, int]
 
@@ -20,6 +20,17 @@ class Binder:
 
 
 Telescope = tuple[Binder, ...]
+
+
+def telescope_pi(tele: Telescope, cod: Term) -> Term:
+    ty = cod
+    for b in reversed(tele):
+        ty = Pi(b.name, b.type, ty)
+    return ty
+
+
+def telescope_vars(tele: Telescope) -> list[Term]:
+    return [Var(b.name) for b in tele]
 
 
 @node
@@ -84,6 +95,9 @@ class FunDecl:
     body: Term | None = None  # single-body form, exclusive with clauses
     partial: bool = False  # skip the termination check
     loc: Loc | None = None
+
+    def type(self) -> Term:
+        return telescope_pi(self.binders, self.ret)
 
 
 @node

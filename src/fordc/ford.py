@@ -11,12 +11,13 @@ the equality proofs by matching refl.
 from __future__ import annotations
 
 from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
-                    PatRefl, PatVar, SourceModule, Telescope, members)
+                    PatRefl, PatVar, SourceModule, Telescope, members,
+                    telescope_vars)
 from .diagnostics import TransformError
 from .node import node
 from .parser import is_ident, parse
 from .printer import decl_offset, print_module, print_term
-from .signature import Signature, telescope_vars
+from .signature import Signature
 from .terms import (REFL, CtorRef, DataRef, FunRef, IdType, Term, Var,
                     data_refs, free_vars, fresh_name, map_term, mk_app, spine,
                     subst_term)
@@ -157,7 +158,7 @@ def gen_converters(plan: FordPlan, sig: Signature
                    ) -> tuple[FunDecl, FunDecl]:
     """Generate the two conversion functions between a datatype in the
     signature and its forded counterpart, which only `plan` names."""
-    d = sig.datas[plan.target]
+    d = sig.datas[plan.target].decl
     params, indices = d.params, d.indices
     binder_names = {b.name for b in params} | {b.name for b in indices}
     globals_ = sig.all_names()

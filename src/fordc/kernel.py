@@ -16,13 +16,12 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     PatCtor, PatInacc, PatRefl, Pattern, PatVar, SourceModule,
-                    Telescope, members)
+                    Telescope, members, telescope_pi, telescope_vars)
 from .diagnostics import CoverageError, FordcError, TypeCheckError
 from .normalize import DEFAULT_STEP_BUDGET, Normalizer
 from .parser import NameEnv, parse
 from .printer import print_pattern, print_term
-from .signature import (CtorInfo, DataInfo, FunInfo, Signature, telescope_pi,
-                        telescope_vars)
+from .signature import CtorInfo, DataInfo, Signature
 from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
                     JElim, Lam, Pi, Refl, Term, Univ, Var, data_refs,
                     free_vars, fresh_name, mk_app, spine, spines, subst_term)
@@ -241,7 +240,7 @@ class Checker:
             self.check_telescope(pctx, d.indices, f"data {d.name} indices")
         except FordcError as e:
             raise _located(e, d.loc)
-        self.sig.add_data(DataInfo(d, d.params, d.indices))
+        self.sig.add_data(DataInfo(d))
         return pctx
 
     def check_data(self, d: DataDecl):
@@ -397,14 +396,14 @@ class Checker:
     def check_fun(self, f: FunDecl):
         ctx = self.check_telescope({}, f.binders, f"def {f.name}")
         self.check_is_type(ctx, f.ret)
-        info = FunInfo(f.name, f.binders, f.ret, [])
-        self.sig.add_fun(info)
+        # no clause yet, so a recursive call does not compute meanwhile
+        self.sig.add_fun(FunDecl(f.name, f.binders, f.ret))
         # a single body is the one clause binding every argument
-        clauses = list(f.clauses) if f.body is None else [
-            Clause(tuple(PatVar(b.name) for b in f.binders), f.body)]
+        clauses = f.clauses if f.body is None else (
+            Clause(tuple(PatVar(b.name) for b in f.binders), f.body),)
         for clause in clauses:
             self._check_clause(f, clause)
-        info.clauses = clauses
+        self.sig.add_fun(FunDecl(f.name, f.binders, f.ret, clauses))
         self._check_coverage(f)
         self._check_termination(f)
 

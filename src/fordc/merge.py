@@ -19,7 +19,7 @@ from .parser import parse
 from .printer import decl_offset, print_module
 from .signature import Signature
 from .terms import (App, CtorRef, DataRef, IdType, Term, Univ, data_refs,
-                    map_term)
+                    fresh_name, map_term)
 
 
 @node
@@ -122,9 +122,9 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
         taken.add(name)
         return name
 
-    enum_name = _pick(["U", "U1", "U2", "U3"], taken)
+    enum_name = fresh_name("U", taken)
     taken.add(enum_name)
-    family_name = _pick(["T", "T1", "T2", "T3"], taken)
+    family_name = fresh_name("T", taken)
     taken.add(family_name)
     tag_of = {d.name: claim(f"{d.name}_tag", "generated tag", d.loc)
               for d in block}
@@ -178,11 +178,3 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
     plan = MergePlan([d.name for d in block], enum_name, family_name,
                      tag_of, ctor_map, list(path_ctors))
     return SourceModule(m.decls[:lo] + tail.decls), plan
-
-
-def _pick(candidates: list[str], taken: set[str]) -> str:
-    for c in candidates:
-        if c not in taken:
-            return c
-    raise TransformError("cannot find a free name for the merged datatypes",
-                         code="E-NAME-CLASH")

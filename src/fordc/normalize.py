@@ -314,7 +314,7 @@ class Normalizer:
             return _STUCK
         if head.name != pat.name or head.data != pat.data:
             return _NOMATCH
-        slots = val.args[len(data.params):]
+        slots = val.args[len(data.decl.params):]
         if len(slots) != len(pat.args):
             return _STUCK
         worst = _OK

@@ -25,7 +25,6 @@ from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl, FunDecl,
                     MutualBlock, PatCtor, PatInacc, PatRefl, Pattern, PatVar,
                     SourceModule)
 from .diagnostics import ParseError, ScopeError
-from .node import node
 from .terms import (REFL, App, AxiomRef, CtorRef, DataRef, FunRef, IdType,
                     JElim, Lam, Pi, Term, Univ, Var)
 
@@ -33,18 +32,11 @@ KEYWORDS = {"data", "def", "axiom", "mutual", "end", "partial",
             "Pi", "Id", "J", "refl", "Type0", "Type1"}
 
 
-@node
-class Token:
-    kind: str  # keyword text, punct text, "ident", "qident", or "eof"
-    text: str
-    line: int
-    col: int
-
-
-class Tokens(Sequence[Token]):
-    """A text's tokens as parallel arrays `kinds`, `texts` and start
-    `offsets`, ending in `eof`. Indexing builds a `Token`, its position
-    computed from the offsets of the newlines."""
+class Tokens:
+    """A text's tokens as parallel arrays `kinds` (keyword text, punct
+    text, "ident", "qident" or "eof"), `texts` and start `offsets`, ending
+    in `eof`. A token's position is computed from the offsets of the
+    newlines."""
 
     def __init__(self, src: str, start: int):
         self.kinds: list[str] = []
@@ -57,9 +49,6 @@ class Tokens(Sequence[Token]):
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:
-        return Token(self.kinds[i], self.texts[i], *self.position(i))
 
     def position(self, i: int) -> tuple[int, int]:
         """(line, column) of token `i`."""

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .decls import (AxiomDecl, Binder, Clause, DataDecl, Declaration,
-                    Pattern, Telescope, members)
+from .decls import (AxiomDecl, Binder, DataDecl, Declaration, FunDecl,
+                    Pattern, Telescope, members, telescope_pi)
 from .node import node
 from .parser import NameEnv
-from .terms import (DataRef, Pi, Term, Univ, Var, free_vars, fresh_name,
-                    mk_app, spine, subst_term)
+from .terms import (DataRef, Term, Univ, Var, free_vars, fresh_name, mk_app,
+                    spine, subst_term)
 
 
 @node
@@ -30,40 +30,22 @@ class CtorInfo:
 
 
 class DataInfo:
+    """A checked datatype: its declaration, and what checking adds to it."""
+
     decl: DataDecl
-    params: Telescope
-    indices: Telescope
     ctors: dict[str, CtorInfo]
     has_path: bool                   # some constructor is a path
 
-    def __init__(self, decl, params, indices):
+    def __init__(self, decl):
         self.decl = decl
-        self.params = params
-        self.indices = indices
         self.ctors = {}
         self.has_path = False
 
     def former_type(self) -> Term:
-        return telescope_pi(self.params + self.indices, Univ(0))
+        return telescope_pi(self.decl.params + self.decl.indices, Univ(0))
 
     def point_ctors(self) -> list[CtorInfo]:
         return [c for c in self.ctors.values() if not c.is_path]
-
-
-class FunInfo:
-    name: str
-    binders: Telescope
-    ret: Term
-    clauses: list[Clause]
-
-    def __init__(self, name, binders, ret, clauses):
-        self.name = name
-        self.binders = binders
-        self.ret = ret
-        self.clauses = clauses
-
-    def type(self) -> Term:
-        return telescope_pi(self.binders, self.ret)
 
 
 class Signature:
@@ -71,7 +53,7 @@ class Signature:
     declaration and constructor name) exact."""
 
     datas: dict[str, DataInfo]
-    funs: dict[str, FunInfo]
+    funs: dict[str, FunDecl]             # checked, a single body as a clause
     axioms: dict[str, AxiomDecl]
     names: set[str]
 
@@ -95,9 +77,9 @@ class Signature:
         info.has_path = info.has_path or c.is_path
         self.names.add(c.name)
 
-    def add_fun(self, info: FunInfo):
-        self.funs[info.name] = info
-        self.names.add(info.name)
+    def add_fun(self, f: FunDecl):
+        self.funs[f.name] = f
+        self.names.add(f.name)
 
     def add_axiom(self, decl: AxiomDecl):
         self.axioms[decl.name] = decl
@@ -133,7 +115,7 @@ class Signature:
         if not isinstance(head, DataRef):
             return None
         info = self.datas[head.name]
-        n_params = len(info.params)
+        n_params = len(info.decl.params)
         return info, args[:n_params], args[n_params:]
 
     def ctor_slots(self, c: CtorInfo, params: list[Term],
@@ -149,13 +131,14 @@ class Signature:
         parameters and the earlier slots, so no caller variable is
         captured. Returns the slot telescope, the availability row over the
         new names and the new row variables."""
-        sub = {b.name: v for b, v in zip(self.datas[c.data].params, params)}
+        sub = {b.name: v
+               for b, v in zip(self.datas[c.data].decl.params, params)}
         avoid = set(taken).union(filter(None, fixed), *map(free_vars, params))
         globals_ = self.all_names()
         slots: list[Binder] = []
         for i, b in enumerate(c.patvars + c.args):
             name = (fixed[i] if i < len(fixed) and fixed[i] else fresh_name(
-                prefix + b.name.lstrip(prefix), avoid, globals_))
+                prefix + b.name, avoid, globals_))
             avoid.add(name)
             slots.append(Binder(name, subst_term(b.type, sub)))
             sub[b.name] = Var(name)
@@ -175,14 +158,3 @@ class Signature:
         env.funs = set(self.funs)
         env.axioms = set(self.axioms)
         return env
-
-
-def telescope_pi(tele: Telescope, cod: Term) -> Term:
-    ty = cod
-    for b in reversed(tele):
-        ty = Pi(b.name, b.type, ty)
-    return ty
-
-
-def telescope_vars(tele: Telescope) -> list[Term]:
-    return [Var(b.name) for b in tele]

@@ -87,8 +87,6 @@ class JElim(Term):
     path: Term
 
 
-TYPE0 = Univ(0)
-TYPE1 = Univ(1)
 REFL = Refl()
 
 # The subterm fields of each compound class, in order; a class missing here

@@ -53,7 +53,7 @@ def _rigid_ctor(sig: Signature, t: Term):
     if isinstance(head, CtorRef):
         info = sig.datas[head.data]
         if not info.has_path:
-            return head, args[len(info.params):]
+            return head, args[len(info.decl.params):]
     return None
 
 

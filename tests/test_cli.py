@@ -807,8 +807,9 @@ def test_transform_lexes_only_the_changed_suffix_of_its_output(
     written = parse(out).decls
     first_line = written[cli._shared_prefix(parse(source).decls,
                                             written)].loc[0]
-    assert lexed == [len(lex(source)),
-                     sum(t.line >= first_line for t in lex(out))]
+    toks = lex(out)
+    assert lexed == [len(lex(source)), sum(
+        toks.position(i)[0] >= first_line for i in range(len(toks.kinds)))]
 
 
 NAT_PLUS = """\
@@ -967,7 +968,7 @@ def _module(tmp_path, source):
     return str(path)
 
 
-# every name `merge` may give the enumeration
+# the first four names `merge` tries for the enumeration
 ENUM_NAMES = "".join(f"data {n}\n  | {n.lower()}\n\n"
                      for n in ("U", "U1", "U2", "U3"))
 
@@ -976,13 +977,19 @@ ENUM_NAMES = "".join(f"data {n}\n  | {n.lower()}\n\n"
     ("bool.fda", ",", "E-MERGE-BLOCK] {}: empty merge block"),
     (ENUM_NAMES, "U,U2",
      "E-MERGE-BLOCK] {}: block members must be contiguous declarations"),
-    (ENUM_NAMES + "data X\n  | x\n", "X",
-     "E-NAME-CLASH] {}: cannot find a free name for the merged datatypes"),
-], ids=["empty", "not-contiguous", "no-free-name"])
+], ids=["empty", "not-contiguous"])
 def test_merge_block_rejections(tmp_path, capsys, source, types, expected):
     path = _module(tmp_path, source)
     code, out, err = run(capsys, "merge", path, "--types", types)
     assert (code, out, err) == (5, "", "error[" + expected.format(path) + "\n")
+
+
+def test_merge_names_the_enumeration_past_every_taken_name(tmp_path, capsys):
+    # `U` to `U3` are taken, so the enumeration is the next variant, `U4`
+    path = _module(tmp_path, ENUM_NAMES + "data X\n  | x\n")
+    code, out, err = run(capsys, "merge", path, "--types", "X")
+    assert code == 0 and json.loads(err)["enum"] == "U4"
+    assert "\ndata U4\n  | X_tag\n\ndata T : (u : U4)\n  | x_T [X_tag]\n" in out
 
 
 NESTED = """\

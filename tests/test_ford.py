@@ -323,23 +323,70 @@ def toFrom (x : S1) (v : HelixF x) : Id (HelixF x) (toHelixF x (fromHelixF x v))
 """
 
 
-def _check_with_lemmas(name, target, lemmas):
-    m, sig = load_checked(name)
-    out, _ = ford_module(m, sig, target)
+# two recursive slots: one `ap` per slot, chained with the prelude's `trans`
+TREE = """\
+data Nat
+  | zero
+  | suc (n : Nat)
+
+data Tree : (n : Nat)
+  | leaf [zero]
+  | node [suc m] (l : Tree m) (r : Tree m)
+"""
+
+TREE_NODE_FROM_TO = (
+    "trans (Tree (suc m)) "
+    "(Tree.node m (fromTreeF m (toTreeF m l)) (fromTreeF m (toTreeF m r))) "
+    "(Tree.node m l (fromTreeF m (toTreeF m r))) (Tree.node m l r) "
+    "(ap (Tree m) (Tree (suc m)) "
+    "(\\z => Tree.node m z (fromTreeF m (toTreeF m r))) "
+    "(fromTreeF m (toTreeF m l)) l (fromTo m l)) "
+    "(ap (Tree m) (Tree (suc m)) (Tree.node m l) "
+    "(fromTreeF m (toTreeF m r)) r (fromTo m r))")
+
+TREE_NODE_TO_FROM = (
+    "trans (TreeF (suc m)) "
+    "(TreeF.node (suc m) m refl (toTreeF m (fromTreeF m l)) "
+    "(toTreeF m (fromTreeF m r))) "
+    "(TreeF.node (suc m) m refl l (toTreeF m (fromTreeF m r))) "
+    "(TreeF.node (suc m) m refl l r) "
+    "(ap (TreeF m) (TreeF (suc m)) "
+    "(\\z => TreeF.node (suc m) m refl z (toTreeF m (fromTreeF m r))) "
+    "(toTreeF m (fromTreeF m l)) l (toFrom m l)) "
+    "(ap (TreeF m) (TreeF (suc m)) (TreeF.node (suc m) m refl l) "
+    "(toTreeF m (fromTreeF m r)) r (toFrom m r))")
+
+TREE_LEMMAS = AP + """
+def fromTo (n : Nat) (v : Tree n) : Id (Tree n) (fromTreeF n (toTreeF n v)) v
+  | n Tree.leaf => refl
+  | n (Tree.node m l r) => {node}
+
+def toFrom (n : Nat) (v : TreeF n) : Id (TreeF n) (toTreeF n (fromTreeF n v)) v
+  | n (TreeF.leaf n1 refl) => refl
+  | n (TreeF.node n1 m refl l r) => """ + TREE_NODE_TO_FROM + "\n"
+
+
+def _check_with_lemmas(source, target, lemmas):
+    m = parse(source)
+    out, _ = ford_module(m, check_module(m), target)
     return check_module(parse(print_module(out) + lemmas))
 
 
-@pytest.mark.parametrize("name, target, lemmas", [
-    ("vec.fda", "Vec", VEC_LEMMAS.format(cons=VEC_CONS_FROM_TO)),
-    ("helix.fda", "Helix", HELIX_LEMMAS),
-], ids=["Vec", "Helix"])
-def test_the_converters_are_proved_mutually_inverse(name, target, lemmas):
-    sig = _check_with_lemmas(name, target, lemmas)
+@pytest.mark.parametrize("source, target, lemmas", [
+    (corpus_text("vec.fda"), "Vec", VEC_LEMMAS.format(cons=VEC_CONS_FROM_TO)),
+    (corpus_text("helix.fda"), "Helix", HELIX_LEMMAS),
+    (TREE, "Tree", TREE_LEMMAS.format(node=TREE_NODE_FROM_TO)),
+], ids=["Vec", "Helix", "Tree"])
+def test_the_converters_are_proved_mutually_inverse(source, target, lemmas):
+    sig = _check_with_lemmas(source, target, lemmas)
     assert {"fromTo", "toFrom"} <= set(sig.funs)
 
 
 def test_a_wrong_round_trip_proof_is_rejected():
-    with pytest.raises(TypeCheckError) as ei:
-        _check_with_lemmas("vec.fda", "Vec", VEC_LEMMAS.format(cons="refl"))
-    assert ei.value.code == "E-TYPE"
-    assert "refl endpoints differ" in ei.value.message
+    for source, target, lemmas in [
+            (corpus_text("vec.fda"), "Vec", VEC_LEMMAS.format(cons="refl")),
+            (TREE, "Tree", TREE_LEMMAS.format(node="refl"))]:
+        with pytest.raises(TypeCheckError) as ei:
+            _check_with_lemmas(source, target, lemmas)
+        assert ei.value.code == "E-TYPE", target
+        assert "refl endpoints differ" in ei.value.message, target

@@ -45,6 +45,15 @@ def test_prelude_names_unchanged_by_checking():
     assert not prelude_signature().has_name("cons")
 
 
+def test_a_checked_function_in_the_signature_is_read_only():
+    # a signature copy shares the prelude's entries, so none may change
+    trans = check_module(parse("")).funs["trans"]
+    with pytest.raises(AttributeError):
+        trans.clauses = ()
+    (clause,) = prelude_signature().funs["trans"].clauses
+    assert isinstance(clause.rhs, JElim)
+
+
 def _checks(path) -> bool:
     try:
         check_module(parse(path.read_text(encoding="utf-8")))

@@ -34,6 +34,7 @@ import pytest
 from fordc import (Checker, Clause, FordcError, FunDecl, SourceModule,
                    canonical_values, check_module, parse, parse_term_text,
                    print_term)
+from fordc.node import replace
 from fordc.terms import CtorRef, FunRef, JElim, mk_app, spine, subst_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -121,15 +122,17 @@ def oracle(decls: str, break_it=None) -> list[str]:
 
 def _set_rhs(name, text):
     def go(sig):
-        (clause,) = sig.funs[name].clauses
-        sig.funs[name].clauses = [
-            Clause(clause.pats, parse_term_text(text, sig.name_env()))]
+        f = sig.funs[name]
+        (clause,) = f.clauses
+        sig.add_fun(replace(f, clauses=(
+            Clause(clause.pats, parse_term_text(text, sig.name_env())),)))
     return go
 
 
 def _drop_first_clause(name):
     def go(sig):
-        sig.funs[name].clauses = sig.funs[name].clauses[1:]
+        f = sig.funs[name]
+        sig.add_fun(replace(f, clauses=f.clauses[1:]))
     return go
 
 

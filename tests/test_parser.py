@@ -6,7 +6,6 @@ import pytest
 from fordc import (DataDecl, FunDecl, MutualBlock, ParseError, PatCtor,
                    PatInacc, PatVar, ScopeError, parse, prelude_signature,
                    print_module)
-from fordc import parser as fordc_parser
 from fordc.parser import KEYWORDS, Parser, lex, parse as parse_from
 from fordc.printer import decl_offset
 from fordc.terms import CtorRef
@@ -133,6 +132,13 @@ def test_empty_module():
     assert print_module(m) == ""
 
 
+def lexed(src: str, start: int = 0) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) of each token `lex` scans."""
+    toks = lex(src, start)
+    return [(k, t, *toks.position(i))
+            for i, (k, t) in enumerate(zip(toks.kinds, toks.texts))]
+
+
 @pytest.mark.parametrize("src, expected", [
     ("D.c", [("qident", "D.c", 1, 1), ("eof", "", 1, 4)]),
     ("refl.x", [("refl", "refl", 1, 1), (".", ".", 1, 5),
@@ -158,7 +164,14 @@ def test_empty_module():
     ("-- only", [("eof", "", 1, 1)]),
 ])
 def test_lexer_tokens(src, expected):
-    assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == expected
+    assert lexed(src) == expected
+
+
+def test_the_token_count_is_the_length_of_the_arrays():
+    # `bench/tracer.py` counts `parser.tokens` with `len()`
+    toks = lex(corpus_text("vec.fda"))
+    assert len(toks) == len(toks.kinds) > 1
+    assert len(toks.texts) == len(toks.offsets) == len(toks.kinds)
 
 
 def test_lexer_rejects_non_ascii_with_position():
@@ -202,8 +215,7 @@ def f (a : Nat) (b : Nat) : Nat
 
 
 def test_lexer_from_an_offset_counts_lines_from_the_start():
-    assert [(t.kind, t.line, t.col) for t in lex("a\nb\n\n  c", 5)] == [
-        ("ident", 4, 3), ("eof", 4, 4)]
+    assert lexed("a\nb\n\n  c", 5) == [("ident", "c", 4, 3), ("eof", "", 4, 4)]
 
 
 def _locs(decl):
@@ -233,15 +245,6 @@ def test_suffix_parse_matches_the_whole_parse(golden):
         assert ([list(_locs(d)) for d in suffix]
                 == [list(_locs(d)) for d in whole[k:]])
         p.parse_decl()
-
-
-def test_a_successful_parse_builds_no_token(monkeypatch):
-    # tokens are read from the arrays; a `Token` is built only on request
-    def no_token(*args):
-        raise AssertionError("a Token was built")
-    monkeypatch.setattr(fordc_parser, "Token", no_token)
-    for path in sorted(CORPUS.glob("*.fda")):
-        parse(path.read_text(encoding="utf-8"))
 
 
 def test_lexer_error_from_an_offset_counts_lines_from_the_start():
@@ -348,7 +351,7 @@ def _lexes_like_the_reference(src: str):
             lex(src)
         assert (ei.value.message, ei.value.loc) == (e.message, e.loc), src
         return
-    assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == expected, src
+    assert lexed(src) == expected, src
 
 
 _CORPUS_FILES = sorted(CORPUS.glob("**/*.fda"))
