@@ -5,9 +5,10 @@ combinators (subst, idp, sym, trans — all defined through J). Data
 declarations admit overlapping and redundant availability rows; path
 constructors are installed as axiomatic identities with no computation
 rule. A clause's constructor (or refl) pattern is one case of a split,
-opened by `open_case` like every case of `split_cases`: its unification
-can rewrite earlier pattern variables, and a stuck one is E-UNIFY-STUCK
-rather than guessed at. An inaccessible pattern must be forced.
+opened by `open_case`: its unification can rewrite earlier pattern
+variables, and a stuck one is E-UNIFY-STUCK rather than guessed at. An
+inaccessible pattern must be forced. Coverage specialises the clauses once
+per split and opens only the cases no clause has already taken.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def split_cases(sig: Signature, nrm: Normalizer, tyn: Term,
                 taken: set[str]) -> Iterator[Case] | None:
     """The cases of a split on the normal type `tyn`, or None when it
     cannot split: one `open_case` per point constructor of a datatype, or
-    the one `refl` case of an identity type. Each case unifies only when
-    it is reached."""
+    the one `refl` case of an identity type, each unified when reached.
+    Coverage opens its own cases, skipping those clauses have taken."""
     split = sig.split_data_type(tyn)
     if split is None and not isinstance(tyn, IdType):
         return None
@@ -462,24 +463,43 @@ class Checker:
             shape = " ".join(acc + ["_"] * len(cols)) or "<empty row>"
             raise CoverageError(
                 f"def {fname}: missing canonical case: {shape}")
-        if not cols:
-            return
+        if any(map(_all_vars, rows)):
+            return  # a row of variables covers every case below
         (x, ty) = cols[0]
-        if all(isinstance(r[0], (PatVar, PatInacc)) for r in rows):
+        # one pass: the rows' indices by head constructor (None for refl),
+        # and the variable rows' indices
+        heads: dict[str | None, list[int]] = {}
+        wild = []
+        for i, r in enumerate(rows):
+            if isinstance(r[0], (PatVar, PatInacc)):
+                wild.append(i)
+            else:
+                heads.setdefault(getattr(r[0], "name", None), []).append(i)
+        if not heads:
             # the consumed column stands for an arbitrary value: keep its
             # variable flexible while splitting later columns
             self._cover(fname, cols[1:], [r[1:] for r in rows], acc + ["_"],
                         gen | {x})
             return
         tyn = self.nf(ty)
-        # not None: some row has a constructor or refl pattern here, which
-        # clause elaboration took at this type or a more general one
-        cases = split_cases(self.sig, self.nrm, tyn, {n for n, _ in cols} | gen)
-        catchall = any(all(isinstance(p, (PatVar, PatInacc)) for p in r)
-                       for r in rows)
-        for c, slots, value, res, _ in cases:
-            if isinstance(res, UnifyMismatch) or (
-                    isinstance(res, UnifyStuck) and catchall):
+        # some row has a constructor or refl pattern here, which clause
+        # elaboration took at this type or a more general one
+        split = self.sig.split_data_type(tyn)
+        taken = {n for n, _ in cols} | gen
+        fresh = all(a == "_" for a in acc)
+        for c in split[0].point_ctors() if split else [None]:
+            head = c and c.name
+            # a refl pattern has no sub-patterns, a variable one per slot
+            fill = [PatVar("_")] * (len(c.patvars) + len(c.args) if c else 0)
+            rows2 = [list(getattr(rows[i][0], "args", fill)) + rows[i][1:]
+                     for i in sorted(heads.get(head, []) + wild)]
+            if fresh and any(map(_all_vars, rows2)):
+                # only variable columns lead here: that row's clause took
+                # this case at this type, up to renaming, and it covers it
+                continue
+            _, slots, value, res, _ = open_case(self.sig, self.nrm, tyn, c,
+                                                taken)
+            if isinstance(res, UnifyMismatch):
                 continue
             if isinstance(res, UnifyStuck):
                 raise _undecided(fname, c, res)
@@ -487,16 +507,7 @@ class Checker:
             sub = {**res.subst, x: subst_term(value, res.subst)}
             cols2 = [(n, subst_term(t, sub)) for n, t in
                      [(b.name, b.type) for b in slots] + cols[1:]]
-            rows2 = []
-            for r in rows:
-                p0 = r[0]
-                if isinstance(p0, (PatVar, PatInacc)):
-                    rows2.append([PatVar("_")] * len(slots) + r[1:])
-                elif c is None and isinstance(p0, PatRefl):
-                    rows2.append(r[1:])
-                elif isinstance(p0, PatCtor) and c and p0.name == c.name:
-                    rows2.append(list(p0.args) + r[1:])
-            self._cover(fname, cols2, rows2, acc + [c.name if c else "refl"],
+            self._cover(fname, cols2, rows2, acc + [head or "refl"],
                         set(gen))
 
     def _some_column_empty(self, fname: str, cols, gen: set[str]) -> bool:
@@ -563,6 +574,10 @@ class Checker:
             f"def {f.name}: no argument position decreases structurally in "
             "every recursive call (mark the definition 'partial' to skip "
             "this check)", code="E-TERMINATION", loc=f.loc)
+
+
+def _all_vars(pats) -> bool:
+    return all(isinstance(p, (PatVar, PatInacc)) for p in pats)
 
 
 def _undecided(fname: str, c: CtorInfo | None, res: UnifyStuck):

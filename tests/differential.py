@@ -5,9 +5,12 @@ with the standard library alone.
 
 PARENT_SRC is the `src` directory of another checkout, for instance of the
 parent commit unpacked with `git archive`. The inputs are the top-level
-corpus inputs (`corpus/*.fda`, goldens excluded) and, for each of SEEDS,
+corpus inputs (`corpus/*.fda`, goldens excluded); for each of SEEDS,
 MUTANTS one-token mutants: a corpus input with one token deleted,
-duplicated or replaced by another of its tokens. Each input gets four runs: `check`, `check --json`,
+duplicated or replaced by another of its tokens; and the clause mutants:
+every corpus file (goldens and subdirectories included) with one clause
+line of a `def` dropped, or two adjacent ones swapped, which exercise
+missing-case reporting. Each input gets four runs: `check`, `check --json`,
 `ford --data <its last datatype> --out <file>` and `merge --types <its
 first two datatypes>`. Each tree makes every run in one child process that
 imports its own `fordc` and calls `fordc.cli.main` in-process, on its own
@@ -34,6 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 TOKEN = re.compile(r"--[^\n]*|\w+(?:\.\w+)*|=>|->|\S")
 DATA = re.compile(r"^\s*data\s+(\w+)", re.M)
+HEADER = re.compile(r"\s*(?:partial\s+)?(def|data|axiom|mutual)\b")
+CLAUSE = re.compile(r"\s+\|")
 OUT = "out.fda"
 SEEDS = (7, 11)
 MUTANTS = 2000
@@ -66,6 +71,34 @@ def mutants(inputs: dict[str, str], seed: int, n: int
         how = f"{name}: {op} token {i} {word!r}" + (
             f" with {new!r}" if op == "replace" else "")
         out[f"m{seed}-{k}.fda"] = (text[:lo] + new + text[hi:], how)
+    return out
+
+
+def clause_mutants() -> dict[str, tuple[str, str]]:
+    """Each corpus file with one `def` clause line dropped, and with two
+    adjacent clause lines of one `def` swapped, by name: (text, how made)."""
+    out = {}
+    for path in sorted(CORPUS.rglob("*.fda")):
+        rel = path.relative_to(CORPUS).as_posix()
+        stem = "c-" + rel.removesuffix(".fda").replace("/", "-")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        groups: list[list[int] | None] = []  # clause lines, per `def`
+        for i, line in enumerate(lines):
+            if CLAUSE.match(line):
+                if groups and groups[-1] is not None:
+                    groups[-1].append(i)
+            elif m := HEADER.match(line):
+                groups.append([] if m.group(1) == "def" else None)
+        for g in filter(None, groups):
+            for k, i in enumerate(g):
+                out[f"{stem}-drop{i}.fda"] = (
+                    "".join(lines[:i] + lines[i + 1:]),
+                    f"{rel}: drop clause line {i + 1}")
+                if k + 1 < len(g) and g[k + 1] == i + 1:
+                    out[f"{stem}-swap{i}.fda"] = (
+                        "".join(lines[:i] + [lines[i + 1], lines[i]]
+                                + lines[i + 2:]),
+                        f"{rel}: swap clause lines {i + 1} and {i + 2}")
     return out
 
 
@@ -112,6 +145,7 @@ def main() -> int:
     plain = {name: text for name, (text, _) in inputs.items()}
     for seed in SEEDS:
         inputs.update(mutants(plain, seed, MUTANTS))
+    inputs.update(clause_mutants())
     jobs = [(name, argv) for name, (text, _) in inputs.items()
             for argv in runs(name, text)]
     env = {**os.environ, "PYTHONHASHSEED": "0"}

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,7 +8,7 @@ from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
                    UnifyStuck, UnifySuccess, canonical_values, check_module,
                    convertible, normalize, parse, parse_term_text,
                    prelude_signature, print_term, unify_terms)
-from fordc import cli
+from fordc import cli, kernel
 from fordc.normalize import Normalizer
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, IdType, JElim,
                          Lam, Pi, Var, alpha_eq, data_refs, mk_app)
@@ -709,6 +710,71 @@ def g (p : Id Nat zero (suc zero)) : Nat
 """))
     assert coverage_message(NAT + "\ndef h (p : Id Nat zero zero) : Nat\n"
                             ) == "def h: missing canonical case: _"
+
+
+# one family of each shape the `wide` benchmark draws, and its splitting
+# function with one clause per constructor
+WIDE = NAT + """
+data W : (n : Nat)
+  | w0 [zero]
+  | w1 [suc m] (x : W m)
+  | w2 [suc m] (y : Nat)
+  | w3 [suc (suc m)] (x : W m)
+  | w4 [k] (x : W k)
+
+def f (n : Nat) (v : W n) : Nat
+"""
+WIDE_CLAUSES = ["  | n w0 => zero\n", "  | n (w1 m x) => suc (f m x)\n",
+                "  | n (w2 m y) => y\n",
+                "  | n (w3 m x) => suc (suc (f m x))\n",
+                "  | n (w4 k x) => f k x\n"]
+
+
+def test_coverage_takes_the_cases_clause_elaboration_opened(monkeypatch):
+    callers = []
+    opened = kernel.open_case
+
+    def spy(*args, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return opened(*args, **kw)
+
+    monkeypatch.setattr(kernel, "open_case", spy)
+    check_module(parse(WIDE + "".join(WIDE_CLAUSES)))
+    assert callers == ["_elab_ctor"] * len(WIDE_CLAUSES)
+
+
+def test_the_first_missing_case_is_in_constructor_order():
+    # clauses in reverse constructor order, w0 and w2 missing
+    clauses = [c for i, c in enumerate(WIDE_CLAUSES) if i not in (0, 2)]
+    assert coverage_message(WIDE + "".join(reversed(clauses))
+                            ) == "def f: missing canonical case: _ w0"
+
+
+def test_a_nested_missing_case_keeps_its_text():
+    src = HALF.replace("  | (suc zero) => zero\n", "")
+    assert coverage_message(src) == "def half: missing canonical case: suc zero"
+
+
+def test_a_catch_all_row_spends_no_coverage_budget(tmp_path, capsys):
+    # opening `a` would normalize its index, 60 * 60 * 60 in unary, which
+    # the budget does not allow; the catch-all row covers it unopened
+    big = f"mult ({mult_term(60, 60)}) ({numeral(60)})"
+    text = PLUS_MULT + f"""
+data D : (n : Nat)
+  | a [.({big})]
+  | b [zero]
+
+def f (v : D zero) : Nat
+  | b => zero
+"""
+    line = text[:text.index("def f")].count("\n") + 1
+    mod = tmp_path / "budget.fda"
+    mod.write_text(text + "  | v => zero\n")
+    assert cli.main(["check", str(mod), "--step-budget", "20000"]) == 0
+    mod.write_text(text)
+    assert cli.main(["check", str(mod), "--step-budget", "20000"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error[E-STEP-BUDGET] {mod}:{line}:1: ")
 
 
 def test_canonical_values_of_identity_types():
