@@ -9,7 +9,7 @@ constructors is, is decided on the closed values by conversion instead.
 
 from __future__ import annotations
 
-from .kernel import split_cases
+from .kernel import open_case, split_ctors
 from .normalize import Normalizer
 from .signature import Signature
 from .terms import Term, Var, free_vars, subst_term
@@ -24,7 +24,8 @@ def canonical_values(sig: Signature, ty: Term, depth: int,
         return []
     tyn = nrm.normalize(ty)
     out: list[Term] = []
-    for c, slots, value, res, eqs in split_cases(sig, nrm, tyn, set()) or ():
+    for c in split_ctors(sig, tyn) or ():
+        _, slots, value, res, eqs = open_case(sig, nrm, tyn, c, set())
         if isinstance(res, UnifyStuck):
             out += _by_conversion(sig, nrm, slots, value, eqs, depth)
             continue

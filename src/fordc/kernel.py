@@ -4,16 +4,18 @@ Declarations check in order into a Signature seeded with the built-in
 combinators (subst, idp, sym, trans — all defined through J). Data
 declarations admit overlapping and redundant availability rows; path
 constructors are installed as axiomatic identities with no computation
-rule. A clause's constructor (or refl) pattern is one case of a split,
-opened by `open_case`: its unification can rewrite earlier pattern
-variables, and a stuck one is E-UNIFY-STUCK rather than guessed at. An
-inaccessible pattern must be forced. Coverage specialises the clauses once
-per split and opens only the cases no clause has already taken.
+rule. A row's constructor pattern fills the constructor's declared slots
+by one simultaneous substitution. A clause's constructor (or refl) pattern
+is one case of a split, opened by `open_case`: its unification can rewrite
+earlier pattern variables, and a stuck one is E-UNIFY-STUCK rather than
+guessed at. An inaccessible pattern must be forced. Coverage specialises
+the clauses once per split of `split_ctors` and opens only the cases no
+clause has already taken.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 from .decls import (AxiomDecl, Binder, Clause, DataDecl, FunDecl, MutualBlock,
                     PatCtor, PatInacc, PatRefl, Pattern, PatVar, SourceModule,
@@ -41,17 +43,14 @@ def _located(e: FordcError, loc: tuple[int, int] | None) -> FordcError:
     return e
 
 
-def split_cases(sig: Signature, nrm: Normalizer, tyn: Term,
-                taken: set[str]) -> Iterator[Case] | None:
-    """The cases of a split on the normal type `tyn`, or None when it
-    cannot split: one `open_case` per point constructor of a datatype, or
-    the one `refl` case of an identity type, each unified when reached.
-    Coverage opens its own cases, skipping those clauses have taken."""
+def split_ctors(sig: Signature, tyn: Term) -> list[CtorInfo | None] | None:
+    """The cases of a split on the normal type `tyn`, each for `open_case`:
+    the point constructors of its datatype, or `[None]`, the one `refl`
+    case of an identity type. None when `tyn` cannot split."""
     split = sig.split_data_type(tyn)
-    if split is None and not isinstance(tyn, IdType):
-        return None
-    ctors = [None] if split is None else split[0].point_ctors()
-    return (open_case(sig, nrm, tyn, c, taken) for c in ctors)
+    if split is not None:
+        return split[0].point_ctors()
+    return [None] if isinstance(tyn, IdType) else None
 
 
 def open_case(sig: Signature, nrm: Normalizer, tyn: Term,
@@ -269,7 +268,7 @@ class Checker:
                     f"{len(d.indices)} indices", code="E-ARITY")
             patvars: list[Binder] = []
             avail_terms, avail_pats = self._elab_avail_seq(
-                d.indices, d.indices, c.availability, patvars, pctx, c)
+                d.indices, c.availability, patvars, pctx, c, {})
             actx = dict(pctx)
             for b in patvars:
                 actx[b.name] = b.type
@@ -291,17 +290,16 @@ class Checker:
         except FordcError as e:
             raise _located(e, c.loc)
 
-    def _elab_avail_seq(self, tele, own, pats, patvars: list[Binder],
-                        pctx: Ctx, c):
-        """Elaborate `pats` against the telescope `tele`, each type taking
-        the earlier results; a `_` is named after its entry in `own`, the
-        declared telescope."""
-        sub: dict[str, Term] = {}
+    def _elab_avail_seq(self, tele, pats, patvars: list[Binder], pctx: Ctx,
+                        c, sub: dict[str, Term]):
+        """Elaborate `pats` against the declared telescope `tele`, whose
+        types take one simultaneous substitution of `sub` and the earlier
+        results; a `_` is named after its entry in `tele`."""
         terms: list[Term] = []
         out: list[Pattern] = []
-        for b, base, pat in zip(tele, own, pats):
+        for b, pat in zip(tele, pats):
             t, p2 = self._elab_avail_pat(pat, self.nf(subst_term(b.type, sub)),
-                                         patvars, pctx, base.name, c)
+                                         patvars, pctx, b.name, c)
             sub[b.name] = t
             terms.append(t)
             out.append(p2)
@@ -331,14 +329,16 @@ class Checker:
                         f"constructor {c.name}: availability patterns over "
                         f"the indexed datatype {dn} are not supported")
                 cinfo = dinfo.ctors[cn]
-                slots, _, _ = self.sig.ctor_slots(cinfo, us, pctx)
+                slots = cinfo.patvars + cinfo.args
                 if len(subs) != len(slots):
                     raise TypeCheckError(
                         f"constructor {c.name}: pattern {cn} takes "
                         f"{len(slots)} arguments, given {len(subs)}",
                         code="E-ARITY")
+                # the slot types are over the constructor's own parameters
+                params = {b.name: u for b, u in zip(dinfo.decl.params, us)}
                 sub_terms, sub_pats = self._elab_avail_seq(
-                    slots, cinfo.patvars + cinfo.args, subs, patvars, pctx, c)
+                    slots, subs, patvars, pctx, c, params)
                 return (mk_app(CtorRef(dn, cn), *us, *sub_terms),
                         PatCtor(dn, cn, sub_pats))
             case PatInacc(t):
@@ -484,10 +484,9 @@ class Checker:
         tyn = self.nf(ty)
         # some row has a constructor or refl pattern here, which clause
         # elaboration took at this type or a more general one
-        split = self.sig.split_data_type(tyn)
         taken = {n for n, _ in cols} | gen
         fresh = all(a == "_" for a in acc)
-        for c in split[0].point_ctors() if split else [None]:
+        for c in split_ctors(self.sig, tyn):
             head = c and c.name
             # a refl pattern has no sub-patterns, a variable one per slot
             fill = [PatVar("_")] * (len(c.patvars) + len(c.args) if c else 0)
@@ -518,11 +517,13 @@ class Checker:
         colnames = {n for n, _ in cols} | gen
         undecided = None
         for _, ty in cols:
-            cases = split_cases(self.sig, self.nrm, self.nf(ty), colnames)
-            if cases is None:
+            tyn = self.nf(ty)
+            ctors = split_ctors(self.sig, tyn)
+            if ctors is None:
                 continue
             stuck = None
-            for c, _, _, res, _ in cases:
+            for c in ctors:
+                res = open_case(self.sig, self.nrm, tyn, c, colnames)[3]
                 if isinstance(res, UnifySuccess):
                     break
                 if stuck is None and isinstance(res, UnifyStuck):

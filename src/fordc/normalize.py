@@ -29,8 +29,8 @@ A term built only of variables, constructors, datatypes, axioms, universes
 and `refl`, applied to one another and under `Id`, is inert: none of its
 nodes can compute or bind, so it is its own normal form, as a term whose
 head cannot compute is its own `whnf`. `normalize` returns such a term as
-it is, and `convertible` accepts two equal ones, without evaluating them.
-Inert terms spend no steps either way.
+it is, and `convertible` accepts one that is `alpha_eq` to the other side,
+without evaluating either. Inert terms spend no steps either way.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .decls import PatInacc, PatRefl, Pattern, PatVar
 from .diagnostics import StepBudgetExceeded
 from .signature import Signature
 from .terms import (App, AxiomRef, CtorRef, DataRef, FunRef, IdType, JElim,
-                    Lam, Pi, Refl, Term, Univ, Var, free_vars, fresh_name,
-                    mk_app, spine)
+                    Lam, Pi, Refl, Term, Univ, Var, alpha_eq, free_vars,
+                    fresh_name, mk_app, spine)
 
 DEFAULT_STEP_BUDGET = 100000
 
@@ -94,26 +94,21 @@ def _rebuild(head: Term | type, *args: Term) -> Term:
 _INERT_LEAVES = frozenset((Var, CtorRef, DataRef, AxiomRef, Univ, Refl))
 
 
-def _same_inert(a: Term, b: Term) -> bool:
-    """Whether `a` and `b` are one and the same inert term (see the module
-    docstring). Walks both on an explicit stack and compares only leaves:
-    `==` on a compound node recurses, and normal forms can be deep."""
-    work = [(a, b)]
+def _inert(t: Term) -> bool:
+    """Whether `t` is inert (see the module docstring), on an explicit
+    stack: normal forms can be deep."""
+    work = [t]
     while work:
-        a, b = work.pop()
-        cls = a.__class__
-        if cls is not b.__class__:
-            return False
+        t = work.pop()
+        cls = t.__class__
         if cls is IdType:
-            work += ((a.carrier, b.carrier), (a.lhs, b.lhs), (a.rhs, b.rhs))
+            work += (t.carrier, t.lhs, t.rhs)
             continue
         while cls is App:  # down the spine: its head must be a leaf
-            work.append((a.arg, b.arg))
-            a, b = a.fn, b.fn
-            cls = a.__class__
-            if cls is not b.__class__:
-                return False
-        if cls not in _INERT_LEAVES or a != b:
+            work.append(t.arg)
+            t = t.fn
+            cls = t.__class__
+        if cls not in _INERT_LEAVES:
             return False
     return True
 
@@ -127,7 +122,7 @@ class Normalizer:
     def normalize(self, t: Term) -> Term:
         """Full normal form; each call gets a fresh step budget."""
         self.steps = 0
-        if _same_inert(t, t):
+        if _inert(t):
             return t
         return self.quote(self.eval(t, {}), t)
 
@@ -141,18 +136,13 @@ class Normalizer:
     def convertible(self, a: Term, b: Term) -> bool:
         """Compare the values of `a` and `b` one pair of heads at a time,
         stopping at the first mismatch. There is no η: `\\x => f x` and `f`
-        differ. Each side spends its own step budget."""
-        if _same_inert(a, b):
+        differ. Each side is evaluated by a normalizer of its own, with its
+        own step budget."""
+        if _inert(a) and alpha_eq(a, b):
             return True
-        spent = [0, 0]
-
-        def on(side: int, fn, *args):
-            self.steps = spent[side]
-            v = fn(*args)
-            spent[side] = self.steps
-            return v
-
-        work = [(on(0, self.eval, a, {}), on(1, self.eval, b, {}))]
+        left = Normalizer(self.sig, self.budget)
+        right = Normalizer(self.sig, self.budget)
+        work = [(left.eval(a, {}), right.eval(b, {}))]
         fresh = 0
         while work:
             u, v = work.pop()
@@ -168,8 +158,7 @@ class Normalizer:
                 # '#' never occurs in a parsed or generated name
                 x = VRigid(Var(f"#{fresh}"))
                 fresh += 1
-                work.append((on(0, self.instantiate, u, x),
-                             on(1, self.instantiate, v, x)))
+                work.append((left.instantiate(u, x), right.instantiate(v, x)))
         return True
 
     def _step(self):

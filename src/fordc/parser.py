@@ -182,6 +182,15 @@ class Parser:
     def loc(self) -> tuple[int, int]:
         return self.toks.position(self.pos)
 
+    def guarded(self, read, *args):
+        """`read(*args)`, with running out of stack a located E-DEPTH at the
+        current token: every entry point parses through this."""
+        try:
+            return read(*args)
+        except RecursionError:
+            raise ParseError("input nested too deeply to parse", *self.loc(),
+                             code="E-DEPTH") from None
+
     # -- name resolution ---------------------------------------------------
 
     def resolve(self, name: str, locals_: list[str], tok: int) -> Term:
@@ -547,17 +556,13 @@ def parse(source: str, env: NameEnv | None = None,
     """Parse and scope-check the module in `source` from the line that
     begins at `start`. Raises ParseError / ScopeError."""
     p = Parser(lex(source, start), (env or NameEnv()).copy())
-    try:
-        return p.parse_module()
-    except RecursionError:
-        raise ParseError("input nested too deeply to parse", *p.loc(),
-                         code="E-DEPTH") from None
+    return p.guarded(p.parse_module)
 
 
 def parse_term_text(source: str, env: NameEnv,
                     locals_: tuple[str, ...] = ()) -> Term:
     """Parse a single term against an environment; used by tests and tools."""
     p = Parser(lex(source), env.copy())
-    t = p.parse_term(list(locals_))
+    t = p.guarded(p.parse_term, list(locals_))
     p.expect("eof")
     return t

@@ -122,15 +122,15 @@ class Signature:
                    taken: Iterable[str], fixed: Sequence[str | None] = (),
                    prefix: str = ""
                    ) -> tuple[list[Binder], list[Term], set[str]]:
-        """Open a constructor at `params`: its slots (row variables, then
-        arguments) under new names, in order. Slot i becomes `fixed[i]`
-        when the caller fixes it, else the first variant of `prefix + name`
-        outside `taken`, the fixed names, the global names, the free
-        variables of `params` and the names picked so far. Each slot type,
-        and then the row, takes one simultaneous substitution of the
-        parameters and the earlier slots, so no caller variable is
-        captured. Returns the slot telescope, the availability row over the
-        new names and the new row variables."""
+        """Open a constructor at `params`, for a case of a split or a ford
+        converter: its slots (row variables, then arguments) under new
+        names, in order. Slot i becomes `fixed[i]` when the caller fixes it,
+        else the first variant of `prefix + name` outside `taken`, the fixed
+        names, the global names, the free variables of `params` and the
+        names picked so far. Each slot type, and then the row, takes one
+        simultaneous substitution of the parameters and the earlier slots,
+        so no caller variable is captured. Returns the slot telescope, the
+        availability row over the new names and the new row variables."""
         sub = {b.name: v
                for b, v in zip(self.datas[c.data].decl.params, params)}
         avoid = set(taken).union(filter(None, fixed), *map(free_vars, params))

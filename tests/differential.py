@@ -10,7 +10,11 @@ MUTANTS one-token mutants: a corpus input with one token deleted,
 duplicated or replaced by another of its tokens; and the clause mutants:
 every corpus file (goldens and subdirectories included) with one clause
 line of a `def` dropped, or two adjacent ones swapped, which exercise
-missing-case reporting. Each input gets four runs: `check`, `check --json`,
+missing-case reporting; and, for each top-level corpus input that parses,
+RENAMINGS alpha-renamings of its local names onto slot-like names
+(`tests/renaming.py`), printed by this tree's `fordc` in a child process,
+which exercise substitution and alpha-equality where variables meet
+constructor slots. Each input gets four runs: `check`, `check --json`,
 `ford --data <its last datatype> --out <file>` and `merge --types <its
 first two datatypes>`. Each tree makes every run in one child process that
 imports its own `fordc` and calls `fordc.cli.main` in-process, on its own
@@ -42,6 +46,7 @@ CLAUSE = re.compile(r"\s+\|")
 OUT = "out.fda"
 SEEDS = (7, 11)
 MUTANTS = 2000
+RENAMINGS = 3
 
 
 def corpus_inputs() -> dict[str, str]:
@@ -102,6 +107,37 @@ def clause_mutants() -> dict[str, tuple[str, str]]:
     return out
 
 
+def renamed(inputs: dict[str, str], env: dict[str, str]
+            ) -> dict[str, tuple[str, str]]:
+    """RENAMINGS seeded alpha-renamings of each of `inputs` that parses, by
+    name: (text, how made). A child process makes them, so this one needs
+    neither `fordc` nor the tests' helpers."""
+    done = subprocess.run(
+        [sys.executable, "-s", str(Path(__file__).resolve()), "--rename",
+         str(ROOT / "src")], input=json.dumps(inputs), stdout=subprocess.PIPE,
+        encoding="utf-8", env=env, check=True)
+    return {name: tuple(v) for name, v in json.loads(done.stdout).items()}
+
+
+def rename_child(src: str):
+    """Print the renamings of the inputs read from stdin, each printed by
+    the `fordc` under `src`, as JSON."""
+    sys.path.insert(0, src)
+    from fordc import FordcError, parse, print_module
+    from renaming import rename_locals
+    rng = random.Random(SEEDS[0])
+    out = {}
+    for name, text in json.load(sys.stdin).items():
+        try:
+            m = parse(text)
+        except FordcError:
+            continue
+        for k in range(RENAMINGS):
+            out[f"r{k}-{name}"] = (print_module(rename_locals(m, rng)),
+                                   f"{name}: renaming {k}")
+    print(json.dumps(out))
+
+
 def runs(name: str, text: str) -> list[list[str]]:
     datas = DATA.findall(text) or ["D"]
     return [["check", name], ["check", "--json", name],
@@ -146,9 +182,10 @@ def main() -> int:
     for seed in SEEDS:
         inputs.update(mutants(plain, seed, MUTANTS))
     inputs.update(clause_mutants())
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    inputs.update(renamed(plain, env))
     jobs = [(name, argv) for name, (text, _) in inputs.items()
             for argv in runs(name, text)]
-    env = {**os.environ, "PYTHONHASHSEED": "0"}
     procs = {}
     with tempfile.TemporaryDirectory(prefix="fordc-differential-") as tmp:
         for tree, src in [("parent", parent), ("this", ROOT / "src")]:
@@ -183,5 +220,7 @@ def main() -> int:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         child(*sys.argv[2:])
+    elif sys.argv[1:2] == ["--rename"]:
+        rename_child(*sys.argv[2:])
     else:
         sys.exit(main())

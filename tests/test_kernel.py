@@ -10,6 +10,7 @@ from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
                    prelude_signature, print_term, unify_terms)
 from fordc import cli, kernel
 from fordc.normalize import Normalizer
+from fordc.signature import Signature
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, IdType, JElim,
                          Lam, Pi, Var, alpha_eq, data_refs, mk_app)
 from conftest import (CORPUS, PLUS_MULT, corpus_text, load, load_checked,
@@ -835,6 +836,44 @@ data P (A : Type0) : (n : Type0)
     assert ei.value.message == ("constructor mk: row variable 'A' shadows a "
                                 "parameter")
     assert ei.value.loc == (3, 3)
+
+
+# a row's constructor pattern: `v`'s type depends on the earlier slot `n`
+# and on the parameter `A`, and `e` names a row variable `A`
+SIG_ROWS = NAT + """
+data Vec (A : Type0) : (n : Nat)
+
+data Sig (A : Type0)
+  | pair (n : Nat) (v : Vec A n)
+
+data D (n : Type0) (v : Nat) : (s : Sig n)
+  | d [pair _ _]
+  | e [pair (suc A) x] (w : Vec n (suc A))
+"""
+
+
+def test_rows_elaborate_constructor_patterns_without_opening_them(
+        monkeypatch):
+    prelude_signature()
+    opened = []
+    ctor_slots = Signature.ctor_slots
+
+    def spy(self, c, *args, **kw):
+        opened.append(c.name)
+        return ctor_slots(self, c, *args, **kw)
+    monkeypatch.setattr(Signature, "ctor_slots", spy)
+    check_module(parse(SIG_ROWS))
+    assert opened == []
+
+
+def test_a_row_pattern_substitutes_parameters_and_slots_at_once():
+    sig = check_module(parse(SIG_ROWS))
+    ctors = sig.datas["D"].ctors
+
+    def row(name):
+        return [(b.name, print_term(b.type)) for b in ctors[name].patvars]
+    assert row("d") == [("n1", "Nat"), ("v1", "Vec n n1")]
+    assert row("e") == [("A", "Nat"), ("x", "Vec n (suc A)")]
 
 
 def _verdict(m) -> str:

@@ -4,8 +4,8 @@ import re
 import pytest
 
 from fordc import (DataDecl, FunDecl, MutualBlock, ParseError, PatCtor,
-                   PatInacc, PatVar, ScopeError, parse, prelude_signature,
-                   print_module)
+                   PatInacc, PatVar, ScopeError, parse, parse_term_text,
+                   prelude_signature, print_module)
 from fordc.parser import KEYWORDS, Parser, lex, parse as parse_from
 from fordc.printer import decl_offset
 from fordc.terms import CtorRef
@@ -387,3 +387,11 @@ def test_running_out_of_stack_is_a_depth_error_at_the_current_token(
     with pytest.raises(ParseError) as ei:
         parse("data Unit | tt\n\ndef u : Unit => tt\n")
     assert ei.value.code == "E-DEPTH" and ei.value.loc == (3, 9)
+
+
+def test_a_term_nested_too_deeply_is_a_depth_error():
+    # the same overflow as in a module, through the term entry point
+    with pytest.raises(ParseError) as ei:
+        parse_term_text("(" * 2000 + "Type0" + ")" * 2000,
+                        prelude_signature().name_env())
+    assert ei.value.code == "E-DEPTH"
