@@ -9,6 +9,7 @@ new file gets mode 0o666 less the umask, an overwritten one keeps its mode.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -51,6 +52,16 @@ def _emit(diag: Diagnostic, json_mode: bool):
     print(diag.json() if json_mode else diag.text(), file=sys.stderr)
 
 
+def _report(e: Exception, path: str | None, json_mode: bool) -> int:
+    """Emit the diagnostic of `e`, a `_Failure` or an exception no layer
+    turned into one, and return its exit code. The caller keeps no name for
+    the failure, so its traceback, which holds the caller's frame, makes no
+    reference cycle through that frame."""
+    f = e if isinstance(e, _Failure) else _internal(e, path)
+    _emit(f.diag, json_mode)
+    return f.exit_code
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
@@ -83,7 +94,10 @@ def _atomic_write(path: str, text: str):
             os.unlink(tmp)
             raise
     except OSError as e:
-        raise _Failure(EXIT_IO, Diagnostic("error", "E-IO", str(e), path))
+        # name `path`, not the random temporary file, so the text is stable
+        raise _Failure(EXIT_IO, Diagnostic(
+            "error", "E-IO", f"[Errno {e.errno}] {e.strerror}: {path!r}",
+            path))
 
 
 def _load_checked(path: str, budget: int):
@@ -106,10 +120,9 @@ def cmd_check(args) -> int:
             _load_checked(path, args.step_budget)
             print(f"checked {path}")
         except Exception as e:
-            f = e if isinstance(e, _Failure) else _internal(e, path)
-            _emit(f.diag, args.json)
+            code = _report(e, path, args.json)
             if status == EXIT_OK:
-                status = f.exit_code
+                status = code
     return status
 
 
@@ -338,13 +351,20 @@ def _step_budget(ap: argparse.ArgumentParser, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
-    args.step_budget = _step_budget(ap, args)
+    """Run one command. fordc makes no reference cycles, so the cyclic
+    collector is paused for the command (reference counting still frees
+    every object at once) and restored to the caller's state afterwards."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.fn(args)
-    except Exception as e:
-        f = e if isinstance(e, _Failure) else _internal(
-            e, getattr(args, "path", None) or getattr(args, "manifest", None))
-        _emit(f.diag, args.json)
-        return f.exit_code
+        ap = build_arg_parser()
+        args = ap.parse_args(argv)
+        args.step_budget = _step_budget(ap, args)
+        try:
+            return args.fn(args)
+        except Exception as e:
+            return _report(e, getattr(args, "path", None)
+                           or getattr(args, "manifest", None), args.json)
+    finally:
+        if enabled:
+            gc.enable()

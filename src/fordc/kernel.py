@@ -354,26 +354,20 @@ class Checker:
         raise AssertionError(f"unknown pattern {pat!r}")
 
     def _check_positive(self, ty: Term, group: set[str], where: str) -> None:
-        def no_occ(t: Term):
-            hit = data_refs(t) & group
-            if hit:
-                raise TypeCheckError(
-                    f"{where}: {sorted(hit)[0]} occurs in a negative "
-                    "position", code="E-POSITIVITY")
-
-        def positive(t: Term):
-            if isinstance(t, Pi):
-                no_occ(t.domain)
-                positive(t.codomain)
-                return
-            head, args = spine(t)
-            if isinstance(head, DataRef) and head.name in group:
-                for a in args:
-                    no_occ(a)
-                return
-            no_occ(t)
-
-        positive(ty)
+        """Strict positivity of the constructor argument type `ty` in the
+        mutual `group`: no member of `group` in a `Pi` domain along the
+        codomain chain, and at its end either a member applied to arguments
+        that mention none, or no member at all. A loop, not a nested
+        recursive function, so the check leaves no reference cycle."""
+        while isinstance(ty, Pi):
+            _no_occ(ty.domain, group, where)
+            ty = ty.codomain
+        head, args = spine(ty)
+        if isinstance(head, DataRef) and head.name in group:
+            for a in args:
+                _no_occ(a, group, where)
+            return
+        _no_occ(ty, group, where)
 
     def check_mutual(self, block: MutualBlock):
         group = {d.name for d in block.decls}
@@ -575,6 +569,13 @@ class Checker:
             f"def {f.name}: no argument position decreases structurally in "
             "every recursive call (mark the definition 'partial' to skip "
             "this check)", code="E-TERMINATION", loc=f.loc)
+
+
+def _no_occ(t: Term, group: set[str], where: str):
+    hit = data_refs(t) & group
+    if hit:
+        raise TypeCheckError(f"{where}: {sorted(hit)[0]} occurs in a negative "
+                             "position", code="E-POSITIVITY")
 
 
 def _all_vars(pats) -> bool:

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,20 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS
+
+
+def cyclic_garbage(work) -> int:
+    """The number of objects in reference cycles that `work()` leaves,
+    run with the collector emptied and paused, then put back as it was."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def corpus_text(name: str) -> str:

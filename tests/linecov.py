@@ -51,24 +51,28 @@ class Collector:
 
     def __init__(self, files: set[str]):
         self.hits: dict[str, set[int]] = {f: set() for f in files}
+        # one local trace function per file, made once: one made per call
+        # would be a reference cycle (it returns itself) left per call, and
+        # the tests count the cycles that fordc's code leaves
+        self.tracers = {f: _line_tracer(h) for f, h in self.hits.items()}
 
     def arm(self):
         sys.settrace(self._call)
 
     def _call(self, frame, event, arg):
-        hits = self.hits.get(frame.f_code.co_filename)
-        if hits is None:
-            return None
-
-        def line(frame, event, arg):
-            if event == "line":
-                hits.add(frame.f_lineno)
-            return line
-        return line
+        return self.tracers.get(frame.f_code.co_filename)
 
     # pytest hook: runs before each test's setup
     def pytest_runtest_setup(self, item):
         self.arm()
+
+
+def _line_tracer(hits: set[int]):
+    def line(frame, event, arg):
+        if event == "line":
+            hits.add(frame.f_lineno)
+        return line
+    return line
 
 
 def read_allowlist(path: Path) -> list[tuple[str, str, str]]:

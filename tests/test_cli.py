@@ -15,7 +15,7 @@ from fordc.cli import main
 from fordc.terms import CtorRef, DataRef
 from fordc.node import replace
 from conftest import (CORPUS, FORCED_SLOT, NAT_BOOL, arith_theorem,
-                      corpus_text, load, numeral)
+                      corpus_text, cyclic_garbage, load, numeral)
 
 
 def run(capsys, *argv):
@@ -1027,3 +1027,38 @@ def test_any_unexpected_exception_is_an_internal_error(monkeypatch, capsys,
     assert run(capsys, argv[0], path, *argv[1:]) == (
         6, "", f"error[E-INTERNAL] {path}: internal error: ValueError: "
         "boom\n")
+
+
+def _cycles_of(capsys, *argv) -> int:
+    """The objects in reference cycles that one `main(argv)` leaves."""
+    main(list(argv))  # first-use work stays out of the count
+    n = cyclic_garbage(lambda: main(list(argv)))
+    capsys.readouterr()
+    return n
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", cp("bad-split-so-stuck.fda")],
+    ["ford", cp("bool.fda"), "--data", "Bool"],
+    ["merge", cp("vec.fda"), "--types", "Vec"],
+    ["check", "no-such-file.fda"],
+], ids=["check", "ford", "merge", "missing"])
+def test_a_failing_command_leaves_no_more_cycles_than_a_passing_one(capsys,
+                                                                    argv):
+    # argparse's own cycles are in both counts; the failure adds none
+    assert _cycles_of(capsys, *argv) == _cycles_of(
+        capsys, "check", cp("vec.fda"))
+
+
+def test_out_errors_name_the_out_path_not_a_temporary_file(tmp_path,
+                                                           capsys):
+    dest = tmp_path / "dir"
+    dest.mkdir()
+    missing = tmp_path / "missing" / "out.fda"
+    for out, reason in [(dest, "[Errno 21] Is a directory"),
+                        (missing, "[Errno 2] No such file or directory")]:
+        assert run(capsys, "ford", cp("vec.fda"), "--data", "Vec",
+                   "--out", str(out)) == (
+            3, "", f"error[E-IO] {out}: {reason}: {str(out)!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any(dest.iterdir())
