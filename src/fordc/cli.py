@@ -169,7 +169,7 @@ def cmd_transform(args) -> int:
     if args.command == "ford":
         target, rest = args.data, [args.suffix]
     else:
-        target, rest = args.types, args.path_ctor
+        target, rest = args.types, args.path_ctor or []
     text, plan = _transform(args.command, args.path, args.step_budget,
                             target, rest)
     report = json.dumps(plan.report(), indent=2, sort_keys=True)
@@ -306,7 +306,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="type-check modules")
     sp.add_argument("paths", nargs="+")
     common(sp)
-    sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("ford", help="de-index a datatype")
     sp.add_argument("path")
@@ -314,22 +313,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suffix", default="F")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("merge", help="merge datatypes into one family")
     sp.add_argument("path")
     sp.add_argument("--types", required=True, help="comma-separated block")
-    sp.add_argument("--path", dest="path_ctor", action="append", default=[],
+    sp.add_argument("--path", dest="path_ctor", action="append",
                     metavar="NAME:MEMBER:MEMBER",
                     help="add an axiomatic identity between two tags")
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("corpus", help="run a corpus manifest")
     sp.add_argument("manifest")
     common(sp)
-    sp.set_defaults(fn=cmd_corpus)
     return ap
 
 
@@ -350,18 +346,26 @@ def _step_budget(ap: argparse.ArgumentParser, args) -> int:
     return budget
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command. fordc makes no reference cycles, so the cyclic
     collector is paused for the command (reference counting still frees
-    every object at once) and restored to the caller's state afterwards."""
+    every object at once) and restored to the caller's state afterwards.
+    The argument parser is built on the first call and kept for the next
+    ones; the command's function is looked up by name on each call."""
+    global _parser
     enabled = gc.isenabled()
     gc.disable()
     try:
-        ap = build_arg_parser()
+        ap = _parser = _parser or build_arg_parser()
         args = ap.parse_args(argv)
         args.step_budget = _step_budget(ap, args)
+        fn = {"check": cmd_check, "corpus": cmd_corpus}.get(args.command,
+                                                             cmd_transform)
         try:
-            return args.fn(args)
+            return fn(args)
         except Exception as e:
             return _report(e, getattr(args, "path", None)
                            or getattr(args, "manifest", None), args.json)

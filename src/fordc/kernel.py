@@ -91,6 +91,13 @@ class Checker:
     # -- bidirectional core ------------------------------------------------
 
     def infer(self, ctx: Ctx, t: Term) -> Term:
+        if t.__class__ is App:  # the commonest node, ahead of the `match`
+            tf = self.nrm.whnf(self.infer(ctx, t.fn))
+            if not isinstance(tf, Pi):
+                raise self._mismatch(Pi("_", Var("?"), Var("?")), tf,
+                                     "application head")
+            self.check(ctx, t.arg, tf.domain)
+            return subst_term(tf.codomain, {tf.binder: t.arg})
         match t:
             case Var(x):
                 if x not in ctx:
@@ -114,13 +121,6 @@ class Checker:
                 raise TypeCheckError(
                     "cannot infer the type of a lambda; use it where a "
                     "function type is expected")
-            case App(f, a):
-                tf = self.nrm.whnf(self.infer(ctx, f))
-                if not isinstance(tf, Pi):
-                    raise self._mismatch(Pi("_", Var("?"), Var("?")), tf,
-                                         "application head")
-                self.check(ctx, a, tf.domain)
-                return subst_term(tf.codomain, {tf.binder: a})
             case DataRef(n):
                 return self.sig.datas[n].former_type()
             case CtorRef(d, c):

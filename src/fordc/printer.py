@@ -7,6 +7,11 @@ non-dependent ones as `A -> B`, lambda runs merge, and constructor
 references are qualified exactly when the bare name is ambiguous: another
 datatype of the module declares a constructor of that name, or a binder
 in scope takes it and so would capture it.
+
+`print_term` prints a name, a constructor and a whole application spine
+itself, the commonest nodes of transformed code, and `_parts` splits any
+other node; a chain of `Pi`s is split at once, with one `free_vars` per
+domain, so a long telescope prints in linear time.
 """
 
 from __future__ import annotations
@@ -43,23 +48,43 @@ def _bound_names(d: Declaration) -> set[str]:
     return {b.name for b in tele}
 
 
+_NAMED = {Var, DataRef, FunRef, AxiomRef}  # a node that prints as its name
+
+
 def print_term(t: Term, prec: int = LOW, qual: frozenset[str] = frozenset()) -> str:
     """Print on an explicit stack of pending text, (term, precedence)
     pairs and scopes, so the depth of a term is not bounded by Python's
     recursion. A scope is the set `qual` of constructors to qualify from
     there on: under a `Pi` or a `\\`, it also holds the bound names."""
+    if t.__class__ in _NAMED:
+        return t.name
     out: list[str] = []
     todo: list = [(t, prec)]
     while todo:
         item = todo.pop()
         if type(item) is tuple:
-            parts, level = _parts(item[0], qual)
-            if type(parts) is str:  # an atom
-                out.append(parts)
-            elif level < item[1]:
-                todo += [")", *reversed(parts), "("]
+            t, prec = item
+            cls = t.__class__
+            if cls in _NAMED:
+                out.append(t.name)
+            elif cls is App:  # the head at APP, each argument at ATOM
+                if prec > APP:
+                    out.append("(")
+                    todo.append(")")
+                while t.__class__ is App:
+                    todo += [(t.arg, ATOM), " "]
+                    t = t.fn
+                todo.append((t, APP))
+            elif cls is CtorRef:
+                out.append(f"{t.data}.{t.name}" if t.name in qual else t.name)
             else:
-                todo += reversed(parts)
+                parts, level = _parts(t, qual)
+                if type(parts) is str:  # an atom
+                    out.append(parts)
+                elif level < prec:
+                    todo += [")", *reversed(parts), "("]
+                else:
+                    todo += reversed(parts)
         elif type(item) is str:
             out.append(item)
         else:
@@ -71,12 +96,6 @@ def _parts(t: Term, qual: frozenset[str]) -> tuple[str | list, int]:
     """An atom's text, or a node's text as literal pieces, (subterm,
     precedence) holes and scopes."""
     match t:
-        case App(f, a):
-            return [(f, APP), " ", (a, ATOM)], APP
-        case Var(x) | DataRef(x) | FunRef(x) | AxiomRef(x):
-            return x, ATOM
-        case CtorRef(d, n):
-            return (f"{d}.{n}" if n in qual else n), ATOM
         case Univ(level):
             return f"Type{level}", ATOM
         case Refl():
@@ -92,18 +111,28 @@ def _parts(t: Term, qual: frozenset[str]) -> tuple[str | list, int]:
                 t = t.body
             return [f"\\{' '.join(names)} => ", qual.union(names), (t, LOW),
                     qual], LOW
-        case Pi(x, dom, cod):
-            if x == "_" or x not in free_vars(cod):
-                return [(dom, APP), " -> ", (cod, LOW)], LOW
-            parts: list = ["Pi "]
-            inner = qual
-            while (isinstance(t, Pi) and t.binder != "_"
-                   and t.binder in free_vars(t.codomain)):
-                inner = inner.union((t.binder,))
-                parts += [f"({t.binder} : ", (t.domain, LOW), ") ", inner]
+        case Pi():
+            # The whole chain at once: which binders their codomain mentions
+            # is found in one pass from the innermost body outwards.
+            chain = []
+            while isinstance(t, Pi):
+                chain.append(t)
                 t = t.codomain
-            parts[-2] = ") -> "
-            return parts + [(t, LOW), qual], LOW
+            fv, dep = set(free_vars(t)), []
+            for p in reversed(chain):
+                dep.append(p.binder != "_" and p.binder in fv)
+                fv.discard(p.binder)
+                fv |= free_vars(p.domain)
+            parts, inner, run = [], qual, False
+            for p, d in zip(chain, reversed(dep)):
+                if d:  # a run of dependent binders: `Pi (x : A) (y : B)`
+                    inner = inner.union((p.binder,))
+                    parts += [" (" if run else "Pi (", f"{p.binder} : ",
+                              (p.domain, LOW), ")", inner]
+                else:
+                    parts += [" -> "] * run + [(p.domain, APP), " -> "]
+                run = d
+            return parts + [" -> "] * run + [(t, LOW), qual], LOW
     raise AssertionError(f"unprintable term {t!r}")
 
 

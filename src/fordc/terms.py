@@ -9,6 +9,7 @@ names literally).
 from __future__ import annotations
 
 from collections.abc import Container, Iterator
+from operator import is_
 
 from .node import node
 
@@ -136,11 +137,19 @@ def data_refs(t: Term) -> set[str]:
     return {h.name for h, _ in spines(t) if isinstance(h, DataRef)}
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is App:
+        return free_vars(t.fn) | free_vars(t.arg)
+    if cls is Var:
         return frozenset((t.name,))
-    out, kids = frozenset(), _kids(t)
-    if isinstance(t, (Pi, Lam)):
+    if cls not in _KIDS:
+        return _NO_VARS
+    out, kids = _NO_VARS, _kids(t)
+    if cls is Pi or cls is Lam:
         out, kids = free_vars(kids[-1]) - {t.binder}, kids[:-1]
     for k in kids:
         out |= free_vars(k)
@@ -159,19 +168,27 @@ def fresh_name(base: str, *avoid: Container[str]) -> str:
 
 
 def subst_term(t: Term, sub: dict[str, Term]) -> Term:
-    """Capture-avoiding simultaneous substitution."""
-    if isinstance(t, Var):
+    """Capture-avoiding simultaneous substitution. A node whose subterms
+    all come back as the same objects is returned as it is, so a subterm
+    that mentions no substituted name is shared, not copied."""
+    cls = t.__class__
+    if cls is App and sub:
+        fn, arg = subst_term(t.fn, sub), subst_term(t.arg, sub)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if cls is Var:
         return sub.get(t.name, t)
-    if not sub or t.__class__ not in _KIDS:
+    if not sub or cls not in _KIDS:
         return t
     kids, out, sub2 = _kids(t), [], sub
-    if isinstance(t, (Pi, Lam)):  # rename the binder first, if it captures
+    if cls is Pi or cls is Lam:  # rename the binder first, if it captures
         x2, kids[-1], sub2 = _under_binder(t.binder, kids[-1], sub)
         out.append(x2)
     for k in kids[:-1]:
         out.append(subst_term(k, sub))
     out.append(subst_term(kids[-1], sub2))
-    return t.__class__(*out)
+    # `_under_binder` hands back a binder it keeps as the very same str
+    same = all(map(is_, out, [getattr(t, f) for f in cls.__match_args__]))
+    return t if same else cls(*out)
 
 
 def _under_binder(x: str, body: Term, sub: dict[str, Term]):

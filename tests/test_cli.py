@@ -1062,3 +1062,15 @@ def test_out_errors_name_the_out_path_not_a_temporary_file(tmp_path,
             3, "", f"error[E-IO] {out}: {reason}: {str(out)!r}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
     assert not any(dest.iterdir())
+
+
+def test_a_merge_without_path_takes_none_from_an_earlier_call(capsys):
+    # one process, one argument parser: `--path` must not leak its list
+    golden = (CORPUS / "int-point.merged.golden.fda").read_text()
+    plain = golden.replace("  | path : Id U Int_tag Int_tag\n", "")
+    for argv, text in [(["--path", "path:Int:Int"], golden), ([], plain),
+                       (["--path", "path:Int:Int"], golden)]:
+        code, out, report = run(capsys, "merge", cp("int-point.fda"),
+                                "--types", "Int", *argv)
+        assert code == 0 and out == text
+        assert len(json.loads(report)["paths"]) == len(argv) // 2

@@ -131,3 +131,11 @@ def test_main_restores_the_callers_collector_state(monkeypatch, capsys,
         (gc.enable if was else gc.disable)()
     if then is _raise:
         assert "E-INTERNAL" in capsys.readouterr().err
+
+
+def test_a_command_after_the_first_leaves_no_cyclic_garbage(capsys):
+    # the first call builds the argument parser, whose cycles it keeps
+    vec = str(CORPUS / "vec.fda")
+    assert cli.main(["check", vec]) == 0
+    assert cyclic_garbage(lambda: cli.main(["check", vec])) == 0
+    assert capsys.readouterr().out == f"checked {vec}\n" * 2

@@ -1,6 +1,10 @@
 import pytest
 
 from fordc import parse, parse_term_text, prelude_signature, print_module, print_term
+from fordc import printer, terms
+from fordc.printer import APP, ATOM
+from fordc.terms import (App, CtorRef, DataRef, FunRef, IdType, Lam, Pi, Univ,
+                         Var, mk_app)
 from conftest import CORPUS, FORCED_SLOT, NAT_BOOL, corpus_text
 
 
@@ -92,3 +96,78 @@ def P : Type0
 
 def test_empty_module_prints_empty():
     assert print_module(parse("")) == ""
+
+
+# The explicit stack: each of these is deeper or longer than the default
+# recursion limit (1000).
+
+def test_a_ten_thousand_deep_numeral_prints():
+    t = CtorRef("Nat", "zero")
+    for _ in range(10_000):
+        t = App(CtorRef("Nat", "suc"), t)
+    assert print_term(t) == "suc (" * 9999 + "suc zero" + ")" * 9999
+
+
+def test_a_spine_of_ten_thousand_arguments_prints():
+    args = [Var(f"x{i}") for i in range(10_000)]
+    t = mk_app(FunRef("f"), *args)
+    assert print_term(t) == "f " + " ".join(a.name for a in args)
+    assert print_term(t, ATOM) == "(f " + " ".join(a.name for a in args) + ")"
+
+
+def test_five_thousand_nested_lambdas_print():
+    t = Var("x0")
+    for i in reversed(range(5_000)):
+        t = Lam(f"x{i}", t)
+    names = " ".join(f"x{i}" for i in range(5_000))
+    assert print_term(t) == f"\\{names} => x0"
+
+
+def test_application_precedence_and_qualification():
+    f, x, y = FunRef("f"), Var("x"), Var("y")
+    zero, suc = CtorRef("Nat", "zero"), CtorRef("Nat", "suc")
+    assert print_term(x, ATOM) == "x"
+    assert print_term(App(f, x), ATOM) == "(f x)"
+    assert print_term(App(f, App(f, x))) == "f (f x)"
+    assert print_term(App(App(f, x), y), APP) == "f x y"
+    assert print_term(App(Lam("x", x), y)) == "(\\x => x) y"
+    assert print_term(App(Pi("_", x, x), y)) == "(x -> x) y"
+    assert print_term(App(suc, zero), qual=frozenset({"zero"})) == "suc Nat.zero"
+    assert print_term(App(suc, zero), ATOM, frozenset({"suc"})) == "(Nat.suc zero)"
+    assert print_term(zero, ATOM, frozenset({"zero"})) == "Nat.zero"
+    # a binder that takes a constructor's name qualifies it in its scope only
+    t = App(App(f, Lam("zero", zero)), zero)
+    assert print_term(t) == "f (\\zero => Nat.zero) zero"
+
+
+def test_a_pi_chain_mixing_dependent_runs_and_arrows_prints_as_before():
+    env = prelude_signature().name_env()
+    text = ("Pi (A : Type0) (x : A) -> (A -> A) -> Id A x x -> "
+            "Pi (y : A) (z : A) -> Id A y z -> A")
+    assert print_term(parse_term_text(text, env)) == text
+    t = Pi("A", Univ(0), Pi("_", Var("A"), Pi("B", Univ(0), Var("B"))))
+    assert print_term(t) == "Pi (A : Type0) -> A -> Pi (B : Type0) -> B"
+    assert print_term(t, APP) == f"({print_term(t)})"
+
+
+def test_printing_a_pi_chain_visits_each_node_a_bounded_number_of_times(
+        monkeypatch):
+    # (y_i : Nat) (p_i : Id Nat y_i y_i) for 200 values of i: 400 binders
+    nat = DataRef("Nat")
+    t = nat
+    for i in reversed(range(200)):
+        y = Var(f"y{i}")
+        t = Pi(y.name, nat, Pi(f"p{i}", IdType(nat, y, y), t))
+    calls = []
+    real = terms.free_vars
+
+    def spy(u):
+        calls.append(u)
+        return real(u)
+
+    # the recursive calls inside `free_vars` count too
+    monkeypatch.setattr(terms, "free_vars", spy)
+    monkeypatch.setattr(printer, "free_vars", spy)
+    text = print_term(t)
+    assert text.startswith("Pi (y0 : Nat) -> Id Nat y0 y0 -> Pi (y1 : Nat)")
+    assert len(calls) < 10 * 400

@@ -111,3 +111,20 @@ def test_walkers_take_a_900_deep_numeral():
     assert _bottom(subst_term(t, {"n": zero})) == zero
     assert _bottom(map_term(t, lambda u: u)) == Var("n")
     assert alpha_eq(t, _chain(900, Var("n")))
+
+
+def test_subst_term_returns_a_node_it_does_not_change():
+    # `w` is free nowhere below, so every node comes back as itself
+    sub = {"w": z}
+    for t in [App(App(FunRef("f"), x), y), Pi("x", A, App(x, y)),
+              Lam("x", App(x, y)), IdType(A, x, y), JElim(x, Refl(), y)]:
+        assert subst_term(t, sub) is t
+
+
+def test_subst_term_shares_the_siblings_of_a_changed_argument():
+    left, right = App(FunRef("g"), y), IdType(A, y, y)
+    t = App(App(App(FunRef("f"), left), x), right)
+    out = subst_term(t, {"x": z})
+    assert out == App(App(App(FunRef("f"), left), z), right)
+    assert out.arg is right and out.fn.fn is t.fn.fn
+    assert out.fn.fn.arg is left
