@@ -559,7 +559,7 @@ class Checker:
                     ok = False
                     break
                 a = args[i]
-                if not (isinstance(a, Var) and i < len(c.pats)
+                if not (isinstance(a, Var)
                         and a.name in strict_vars(c.pats[i])):
                     ok = False
                     break

@@ -13,7 +13,11 @@ own parts as values, then the arguments the node is applied to (see
 before its head. Every position, tail or not, runs on the explicit stack
 of `Normalizer.eval`, so deep evaluation spends the step budget and heap,
 not the interpreter stack; only `_match` recurses, to the depth of the
-written pattern.
+written pattern. A value that needs no computation is made where it is
+met, not in a turn of the loop: the leading variable arguments of a spine
+are read when the spine is met, so a spine of variables alone pushes no
+frame; a constructor's spine is its value when its frame resumes; and a
+variable pattern binds without a call.
 
 Clauses fire first-match, column by column: a clause with a column whose
 constructor clashes with the value's is skipped, even when an earlier
@@ -42,7 +46,7 @@ from .diagnostics import StepBudgetExceeded
 from .signature import Signature
 from .terms import (App, AxiomRef, CtorRef, DataRef, FunRef, IdType, JElim,
                     Lam, Pi, Refl, Term, Univ, Var, alpha_eq, free_vars,
-                    fresh_name, mk_app, spine)
+                    fresh_name, mk_app)
 
 DEFAULT_STEP_BUDGET = 100000
 
@@ -128,8 +132,11 @@ class Normalizer:
 
     def whnf(self, t: Term) -> Term:
         """`t` itself when its head cannot compute, else its normal form."""
-        head, args = spine(t)
-        if isinstance(head, (FunRef, JElim)) or (args and isinstance(head, Lam)):
+        head = t
+        while head.__class__ is App:
+            head = head.fn
+        cls = head.__class__
+        if cls is FunRef or cls is JElim or (cls is Lam and head is not t):
             return self.normalize(t)
         return t
 
@@ -178,8 +185,9 @@ class Normalizer:
         evaluates `terms` under `env` left to right into `vals`, then
         resumes. By kind, it waits for
 
-        - `_ARGS`: the arguments of a spine; then the head `a` runs, applied
-          to `vals` and the pending arguments `b`;
+        - `_ARGS`: the arguments of a spine after its leading variables;
+          then the head `a` runs, applied to `vals` and the pending
+          arguments `b`, or a constructor head is applied to them;
         - `_PATH`: the path of the `J` node `a`; `refl` fires it, applied to
           `b`, and any other path pushes a `_PARTS` frame;
         - `_PARTS`: the parts of a `Pi`, an `Id` or a stuck `J`; then the
@@ -189,12 +197,26 @@ class Normalizer:
         stack: list[list] = []
         args: list[Value] = []  # pending arguments of the head `t`
         while True:
-            cls = type(t)
-            if cls is App:
-                t, targs = spine(t)
-                stack.append([_ARGS, targs, [], env, t, args])
-                t, args = targs[0], []
+            cls = t.__class__
+            if cls is App:  # read the spine's leading variables at once
+                terms = []
+                while cls is App:
+                    terms.append(t.arg)
+                    t = t.fn
+                    cls = t.__class__
+                terms.reverse()
+                vals = []
+                for a in terms:
+                    if a.__class__ is not Var:
+                        stack.append([_ARGS, terms, vals, env, t, args])
+                        t, args = a, []
+                        break
+                    vals.append(env.get(a.name) or VRigid(a))
+                else:  # every argument is a variable: run the head now
+                    args = vals + args
                 continue
+            elif cls is CtorRef:
+                v = VRigid(t, tuple(args))
             elif cls is Var:
                 v = env.get(t.name)
                 if v is None:
@@ -236,7 +258,7 @@ class Normalizer:
                               IdType, args])
                 t, args = t.carrier, []
                 continue
-            else:  # constructor, datatype, axiom, universe, refl
+            else:  # datatype, axiom, universe, refl
                 v = VRigid(t, tuple(args))
             # `v` is a value: hand it to the frames waiting for it
             while stack:
@@ -246,10 +268,10 @@ class Normalizer:
                     t, args = terms[len(vals)], []
                     break
                 stack.pop()
-                if kind == _ARGS:
+                if kind == _ARGS and a.__class__ is not CtorRef:
                     t, args = a, vals + b
                     break
-                if kind == _PARTS:
+                if kind != _PATH:  # parts, or a constructor's arguments
                     v = VRigid(a, (*vals, *b))
                 elif type(v) is VRigid and type(v.head) is Refl:  # _PATH
                     self._step()
@@ -272,43 +294,41 @@ class Normalizer:
         info = self.sig.funs.get(name)
         if info is None or len(args) < len(info.binders):
             return None
+        n = len(info.binders)
         for clause in info.clauses:
             env: Env = {}
-            stuck = _OK
-            for pat, val in zip(clause.pats, args):
-                r = self._match(pat, val, env)
-                if r == _NOMATCH:
-                    break
-                stuck |= r
-            else:
-                return None if stuck else (env, clause.rhs,
-                                           args[len(info.binders):])
+            r = self._match(clause.pats, args, env)
+            if r != _NOMATCH:
+                return None if r else (env, clause.rhs, args[n:])
         return None
 
-    def _match(self, pat: Pattern, val: Value, env: Env) -> int:
-        cls = type(pat)
-        if cls is PatVar:
-            if pat.name != "_":
-                env[pat.name] = val
-            return _OK
-        if cls is PatInacc:
-            return _OK
-        head = val.head if type(val) is VRigid else None
-        if cls is PatRefl:
-            return _OK if type(head) is Refl else _STUCK
-        if type(head) is not CtorRef:  # `pat` is a PatCtor
-            return _NOMATCH if type(head) is Refl else _STUCK
-        data = self.sig.datas[head.data]
-        if data.ctors[head.name].is_path:
-            return _STUCK
-        if head.name != pat.name or head.data != pat.data:
-            return _NOMATCH
-        slots = val.args[len(data.decl.params):]
-        if len(slots) != len(pat.args):
-            return _STUCK
+    def _match(self, pats: tuple[Pattern, ...], vals, env: Env) -> int:
+        """Match `vals` against `pats` pairwise, binding pattern variables
+        in `env`: a variable pattern binds without a call. `_NOMATCH` when
+        any constructor clashes, else `_STUCK` when any value is neutral
+        where a pattern needs a constructor or `refl`."""
         worst = _OK
-        for sp, sv in zip(pat.args, slots):
-            r = self._match(sp, sv, env)
+        for pat, val in zip(pats, vals):
+            cls = pat.__class__
+            if cls is PatVar:
+                if pat.name != "_":
+                    env[pat.name] = val
+                continue
+            if cls is PatInacc:
+                continue
+            head = val.head if val.__class__ is VRigid else None
+            if cls is PatRefl:
+                r = _OK if head.__class__ is Refl else _STUCK
+            elif head.__class__ is not CtorRef:  # `pat` is a PatCtor
+                r = _NOMATCH if head.__class__ is Refl else _STUCK
+            elif head.name != pat.name or head.data != pat.data:
+                # `pat` names a point constructor; a path constructor is stuck
+                is_path = self.sig.datas[head.data].ctors[head.name].is_path
+                r = _STUCK if is_path else _NOMATCH
+            else:
+                slots = val.args[len(self.sig.datas[head.data].decl.params):]
+                r = (self._match(pat.args, slots, env)
+                     if len(slots) == len(pat.args) else _STUCK)
             if r == _NOMATCH:
                 return _NOMATCH
             worst |= r

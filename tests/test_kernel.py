@@ -13,8 +13,8 @@ from fordc.normalize import Normalizer
 from fordc.signature import Signature
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, IdType, JElim,
                          Lam, Pi, Var, alpha_eq, data_refs, mk_app)
-from conftest import (CORPUS, PLUS_MULT, corpus_text, load, load_checked,
-                      mult_term, numeral, rename_locals)
+from conftest import (CORPUS, NAT_BOOL, PLUS_MULT, corpus_text, load,
+                      load_checked, mult_term, numeral, rename_locals)
 
 
 def pt(sig, s, **kw):
@@ -207,6 +207,37 @@ def test_j_with_a_one_argument_named_motive_rejected():
     assert ei.value.code == "E-TYPE"
     assert ei.value.message == (
         "J motive has type Nat -> Type0, expected a two-argument family over "
+        "Nat and an identity type")
+
+
+J_MOTIVE = NAT_BOOL + """\
+def M {} => {}
+
+def t (y : Nat) (p : Id Nat zero y) : Nat => J M zero p
+"""
+
+
+@pytest.mark.parametrize("binders, body, shown", [
+    ("(z : Bool) (q : Id Bool true z) : Type0", "Nat",
+     "Pi (z : Bool) -> Id Bool true z -> Type0"),
+    ("(z : Nat) (q : Id Nat (suc zero) z) : Type0", "Nat",
+     "Pi (z : Nat) -> Id Nat (suc zero) z -> Type0"),
+    ("(z : Nat) (q : Id Nat zero zero) : Type0", "Nat",
+     "Nat -> Id Nat zero zero -> Type0"),
+    ("(z : Nat) (q : Id Nat zero z) : Nat", "zero",
+     "Pi (z : Nat) -> Id Nat zero z -> Nat"),
+], ids=["carrier", "left-end", "right-end", "universe"])
+def test_a_named_motive_wrong_in_one_part_is_rejected(binders, body, shown):
+    # the family over `Nat` and `Id Nat zero z` is a motive; each rejected
+    # one is a well-typed two-argument function that differs from it in one
+    # part: the carrier (in both places), an end, or the universe
+    check_module(parse(J_MOTIVE.format("(z : Nat) (q : Id Nat zero z) : Type0",
+                                       "Nat")))
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(parse(J_MOTIVE.format(binders, body)))
+    assert ei.value.code == "E-TYPE"
+    assert ei.value.message == (
+        f"J motive has type {shown}, expected a two-argument family over "
         "Nat and an identity type")
 
 
@@ -1075,3 +1106,57 @@ def test_running_out_of_stack_is_a_depth_error_at_the_declaration(
     with pytest.raises(TypeCheckError) as ei:
         check_module(m)
     assert ei.value.code == "E-DEPTH" and ei.value.loc == (3, 1)
+
+
+# -- values made where they are met ---------------------------------------------
+
+SECOND = PLUS_MULT + """
+def second (m : Nat) (n : Nat) : Nat
+  | (suc _) n => n
+  | _ _ => zero
+"""
+
+
+@pytest.mark.parametrize("term, steps, normal", [
+    ("plus x y", 0, "plus x y"),
+    ("(\\y => plus x y) zero", 1, "plus x zero"),
+    ("(\\x y => plus (suc x) y) zero (suc zero)", 4, "suc (suc zero)"),
+    ("plus (suc x) y", 1, "suc (plus x y)"),
+    ("(\\x => plus x) zero (suc zero)", 2, "suc zero"),
+    ("(\\f x => f x) (\\y => suc y) zero", 3, "suc zero"),
+    ("(\\f x => plus (f x) x) (\\y => suc y) zero", 5, "suc zero"),
+    ("second (suc x) y", 1, "y"),
+    ("second zero y", 1, "zero"),
+], ids=["variables-unbound", "variables-one-unbound", "variable-after-call",
+        "variable-after-constructor", "pending-arguments", "closure-applied",
+        "closure-in-a-call", "wildcard-subpattern", "wildcard-columns"])
+def test_a_variable_argument_is_read_where_its_spine_is_met(term, steps,
+                                                             normal):
+    sig = check_module(parse(SECOND))
+    nrm = Normalizer(sig)
+    n = nrm.normalize(pt(sig, term, locals_=("x", "y")))
+    assert (nrm.steps, n) == (steps, pt(sig, normal, locals_=("x", "y")))
+
+
+def test_a_wildcard_subpattern_binds_nothing():
+    sig = check_module(parse(SECOND))
+    nrm = Normalizer(sig)
+    vals = [nrm.eval(pt(sig, "suc zero"), {}), nrm.eval(Var("y"), {})]
+    env, rhs, rest = nrm._match_clauses("second", vals)
+    assert (list(env), rhs, rest) == (["n"], Var("n"), [])
+
+
+def test_lambdas_side_by_side_read_back_under_their_own_names():
+    sig = check_module(parse(PLUS_MULT))
+    t = pt(sig, "Id (Nat -> Nat) (\\x => x) (\\x => x)")
+    assert print_term(normalize(sig, t)) == (
+        "Id (Nat -> Nat) (\\x => x) (\\x => x)")
+
+
+@pytest.mark.parametrize("ty", [
+    "Fun", "J (\\z q => Type0) (Nat -> Nat) (idp Nat zero)"],
+    ids=["a-call", "a-j-on-refl"])
+def test_a_lambda_checks_against_a_type_that_computes_to_a_pi(ty):
+    # `whnf` of the expected type must compute a call and a `J` head
+    check_module(parse(NAT + "\ndef Fun : Type0 => Nat -> Nat\n\n"
+                             f"def f : {ty} => \\x => suc x\n"))
