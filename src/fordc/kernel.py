@@ -122,7 +122,7 @@ class Checker:
                     "cannot infer the type of a lambda; use it where a "
                     "function type is expected")
             case DataRef(n):
-                return self.sig.datas[n].former_type()
+                return self.sig.datas[n].type
             case CtorRef(d, c):
                 return self.sig.ctor(d, c).type
             case FunRef(n):
@@ -163,7 +163,6 @@ class Checker:
             if ok:
                 inner = tm.codomain.domain
                 ok = (isinstance(inner, IdType)
-                      and self.conv(inner.carrier, carrier)
                       and self.conv(inner.lhs, x)
                       and inner.rhs == Var(tm.binder)
                       and isinstance(self.nf(tm.codomain.codomain), Univ))
@@ -198,7 +197,7 @@ class Checker:
                     raise self._mismatch(exp, got, "type mismatch")
 
     def check_is_type(self, ctx: Ctx, t: Term) -> int:
-        if t == Univ(1):
+        if t.__class__ is Univ and t.level == 1:
             return 2
         ty = self.nrm.whnf(self.infer(ctx, t))
         if not isinstance(ty, Univ):

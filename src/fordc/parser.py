@@ -9,9 +9,10 @@ function, or axiom.
 Constructor names may repeat across datatypes; a bare reference must be
 unambiguous, otherwise the qualified form `Data.ctor` is required.
 
-`lex` scans a text into `Tokens`, flat arrays of kinds, texts and start
-offsets. The parser reads them by index; a line and column are computed
-from an offset, only for a location or a diagnostic.
+`lex` cuts a text into `Tokens`, flat arrays of kinds, texts and start
+offsets, with one regular-expression `split`. The parser reads them by
+index; a line and column are computed from an offset, only for a location
+or a diagnostic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import re
 from bisect import bisect
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import accumulate, compress, count, islice, repeat
+from operator import contains
 
 from .decls import (AxiomDecl, Binder, Clause, CtorDecl, DataDecl, FunDecl,
                     MutualBlock, PatCtor, PatInacc, PatRefl, Pattern, PatVar,
@@ -35,16 +37,17 @@ KEYWORDS = {"data", "def", "axiom", "mutual", "end", "partial",
 class Tokens:
     """A text's tokens as parallel arrays `kinds` (keyword text, punct
     text, "ident", "qident" or "eof"), `texts` and start `offsets`, ending
-    in `eof`. A token's position is computed from the offsets of the
-    newlines."""
+    in `eof`, which `lex` fills. A position is computed from the offsets of
+    the newlines, which are found here."""
 
     def __init__(self, src: str, start: int):
-        self.kinds: list[str] = []
-        self.texts: list[str] = []
-        self.offsets: list[int] = []
         # newline offsets, after a virtual one just before `start` (a line
         # start), which ends line `self.line`
-        self.newlines = [start - 1]
+        self.newlines = newlines = [start - 1]
+        i = src.find("\n", start)
+        while i >= 0:
+            newlines.append(i)
+            i = src.find("\n", i + 1)
         self.line = src.count("\n", 0, start)
 
     def __len__(self) -> int:
@@ -52,20 +55,24 @@ class Tokens:
 
     def position(self, i: int) -> tuple[int, int]:
         """(line, column) of token `i`."""
-        k = bisect(self.newlines, self.offsets[i])
-        return self.line + k, self.offsets[i] - self.newlines[k - 1]
+        return self.locate(self.offsets[i])
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """(line, column) of the character at `offset`."""
+        k = bisect(self.newlines, offset)
+        return self.line + k, offset - self.newlines[k - 1]
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
-# `Data.ctor` written without spaces is one qualified reference, unless the
-# head is a keyword. Only rare tokens set a group.
-_TOKEN = re.compile(rf"""
-    (?!(?:{"|".join(sorted(KEYWORDS))})\.){_IDENT}(?P<qident>\.{_IDENT})?
-  | {_IDENT}
+# One group, so `split` keeps each token and comment. `Data.ctor` written
+# without spaces is one qualified reference, but a keyword before a dot is a
+# token of its own.
+_SPLIT = re.compile(rf"""(
+    (?:{"|".join(sorted(KEYWORDS))})(?=\.)
+  | {_IDENT}(?:\.{_IDENT})?
   | ->|=>|[()\[\],:|.\\]
-  | (?P<nl>\n)
-  | (?P<comment>--[^\n]*)
-  | (?P<bad>[^ \t\r\n])""", re.VERBOSE)
+  | --[^\n]*)""", re.VERBOSE)
+_STRAY = re.compile(r"[^ \t\r\n]")
 _KIND = {t: t for t in KEYWORDS | {"->", "=>", *"()[],:|.\\"}} | {"": "eof"}
 
 
@@ -75,38 +82,38 @@ def is_ident(name: str) -> bool:
 
 
 def lex(src: str, start: int = 0) -> Tokens:
-    """Scan `src` from `start`, a line start, into `Tokens`, one pattern
-    search per token, recording the newlines for positions on demand; lines
-    count from 1 at the start of `src`. A `--` comment runs to the end of
-    its line and does not advance the column, so an `eof` right after one
-    keeps the comment's column."""
+    """Scan `src` from `start`, a line start, into `Tokens` with one
+    `_SPLIT.split`. Its odd pieces are the tokens and comments, its even
+    ones the blanks, where any character but space, tab, CR and LF is
+    unexpected. A token's offset is the running total (`accumulate`) of the
+    lengths before it; lines count from 1 at the start of `src`. A `--`
+    comment runs to the end of its line and does not advance the column, so
+    an `eof` right after one keeps the comment's column."""
     toks = Tokens(src, start)
-    texts, offsets = toks.texts, toks.offsets
-    qualified: list[int] = []
-    eof = len(src)
-    for m in _TOKEN.finditer(src, start):
-        if m.lastindex:
-            group = m.lastgroup
-            if group == "qident":
-                qualified.append(len(texts))
-            elif group == "nl":
-                toks.newlines.append(m.start())
-                continue
-            elif group == "comment":
-                if m.end() == eof:
-                    eof = m.start()
-                continue
-            else:
-                offsets.append(m.start())
-                raise ParseError(f"unexpected character {m.group()!r}",
-                                 *toks.position(-1))
-        texts.append(m.group())
-        offsets.append(m.start())
-    texts.append("")
-    offsets.append(eof)
+    parts = _SPLIT.split(src[start:])
+    parts.append("")  # the text of `eof`, after the last blank
+    texts = parts[1::2]
+    # each token's start, `eof`'s being the end of the text
+    offsets = list(islice(accumulate(map(len, parts), initial=start),
+                          1, None, 2))
+    if _STRAY.search("".join(parts[::2])):
+        for blank, end in zip(parts[::2], offsets):
+            if bad := _STRAY.search(blank):
+                raise ParseError(f"unexpected character {bad.group()!r}",
+                                 *toks.locate(end - len(blank) + bad.start()))
+    if src.find("--", start) >= 0:
+        if not parts[-2] and texts[-2][:2] == "--":  # it ends the text
+            offsets[-1] = offsets[-2]
+        keep = [t[:2] != "--" for t in texts]
+        texts = list(compress(texts, keep))
+        offsets = list(compress(offsets, keep))
+    del parts  # free the blanks before the kinds are made
     toks.kinds = kinds = list(map(_KIND.get, texts, repeat("ident")))
-    for i in qualified:
-        kinds[i] = "qident"
+    if src.find(".", start) >= 0:  # a dotted identifier is qualified
+        for i in compress(count(), map(contains, texts, repeat("."))):
+            if texts[i] != ".":
+                kinds[i] = "qident"
+    toks.texts, toks.offsets = texts, offsets
     return toks
 
 

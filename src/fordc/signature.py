@@ -30,19 +30,19 @@ class CtorInfo:
 
 
 class DataInfo:
-    """A checked datatype: its declaration, and what checking adds to it."""
+    """A checked datatype: its declaration, its former type (built once, as
+    the declaration never changes) and what checking adds to it."""
 
     decl: DataDecl
+    type: Term
     ctors: dict[str, CtorInfo]
     has_path: bool                   # some constructor is a path
 
     def __init__(self, decl):
         self.decl = decl
+        self.type = telescope_pi(decl.params + decl.indices, Univ(0))
         self.ctors = {}
         self.has_path = False
-
-    def former_type(self) -> Term:
-        return telescope_pi(self.decl.params + self.decl.indices, Univ(0))
 
     def point_ctors(self) -> list[CtorInfo]:
         return [c for c in self.ctors.values() if not c.is_path]

@@ -148,10 +148,21 @@ def free_vars(t: Term) -> frozenset[str]:
         return frozenset((t.name,))
     if cls not in _KIDS:
         return _NO_VARS
-    out, kids = _NO_VARS, _kids(t)
     if cls is Pi or cls is Lam:
-        out, kids = free_vars(kids[-1]) - {t.binder}, kids[:-1]
-    for k in kids:
+        # the binder chain in a loop, so only its domains recurse
+        chain = []
+        while cls is Pi or cls is Lam:
+            chain.append(t)
+            t = t.codomain if cls is Pi else t.body
+            cls = t.__class__
+        out = set(free_vars(t))
+        for b in reversed(chain):
+            out.discard(b.binder)
+            if b.__class__ is Pi:
+                out |= free_vars(b.domain)
+        return frozenset(out)
+    out = _NO_VARS
+    for k in _kids(t):
         out |= free_vars(k)
     return out
 

@@ -7,7 +7,10 @@ PARENT_SRC is the `src` directory of another checkout, for instance of the
 parent commit unpacked with `git archive`. The inputs are the top-level
 corpus inputs (`corpus/*.fda`, goldens excluded); for each of SEEDS,
 MUTANTS one-token mutants: a corpus input with one token deleted,
-duplicated or replaced by another of its tokens; and the clause mutants:
+duplicated or replaced by another of its tokens; LEX_MUTANTS lexer mutants:
+a corpus input with a character that is no blank to fordc (`NOT_BLANKS`)
+put before or after a token, a `--` comment begun there, or the text cut
+there and ended by a comment with no newline; and the clause mutants:
 every corpus file (goldens and subdirectories included) with one clause
 line of a `def` dropped, or two adjacent ones swapped, which exercise
 missing-case reporting; and, for each top-level corpus input that parses,
@@ -46,6 +49,9 @@ CLAUSE = re.compile(r"\s+\|")
 OUT = "out.fda"
 SEEDS = (7, 11)
 MUTANTS = 2000
+LEX_MUTANTS = 300
+# what `\s`, `str.split` or `str.splitlines` take for blanks or line breaks
+NOT_BLANKS = "\f\v\x1c\u00a0\u2028\ufeff"
 RENAMINGS = 3
 
 
@@ -55,14 +61,21 @@ def corpus_inputs() -> dict[str, str]:
             if not p.name.endswith(".golden.fda")}
 
 
+def token_spans(inputs: dict[str, str]) -> dict[str, list[tuple[int, int]]]:
+    """The spans of the tokens of each of `inputs` that has one, comments
+    left out, by file name."""
+    spans = {name: [m.span() for m in TOKEN.finditer(text)
+                    if not m.group().startswith("--")]
+             for name, text in inputs.items()}
+    return {name: s for name, s in spans.items() if s}
+
+
 def mutants(inputs: dict[str, str], seed: int, n: int
             ) -> dict[str, tuple[str, str]]:
     """`n` one-token mutants of `inputs`, by file name: (text, how made)."""
     rng = random.Random(seed)
-    spans = {name: [m.span() for m in TOKEN.finditer(text)
-                    if not m.group().startswith("--")]
-             for name, text in inputs.items()}
-    names = [name for name in inputs if spans[name]]
+    spans = token_spans(inputs)
+    names = list(spans)
     out = {}
     for k in range(n):
         name = rng.choice(names)
@@ -76,6 +89,32 @@ def mutants(inputs: dict[str, str], seed: int, n: int
         how = f"{name}: {op} token {i} {word!r}" + (
             f" with {new!r}" if op == "replace" else "")
         out[f"m{seed}-{k}.fda"] = (text[:lo] + new + text[hi:], how)
+    return out
+
+
+def lexer_mutants(inputs: dict[str, str], seed: int, n: int
+                  ) -> dict[str, tuple[str, str]]:
+    """`n` mutants of `inputs` at the blanks and comments around a token,
+    by file name: (text, how made)."""
+    rng = random.Random(seed)
+    spans = token_spans(inputs)
+    names = list(spans)
+    out = {}
+    for k in range(n):
+        name = rng.choice(names)
+        text = inputs[name]
+        i = rng.randrange(len(spans[name]))
+        side = rng.choice(["before", "after"])
+        at = spans[name][i][side == "after"]
+        op = rng.choice(["character", "comment", "trailing comment"])
+        if op == "trailing comment":  # often cut short, so `eof` is shown
+            new = text[:at] + " -- end"
+            how = f"cut {side} token {i} and end in a comment"
+        else:
+            put = rng.choice(NOT_BLANKS) if op == "character" else "--"
+            new = text[:at] + put + text[at:]
+            how = f"put {put!r} {side} token {i}"
+        out[f"l{seed}-{k}.fda"] = (new, f"{name}: {how}")
     return out
 
 
@@ -181,6 +220,7 @@ def main() -> int:
     plain = {name: text for name, (text, _) in inputs.items()}
     for seed in SEEDS:
         inputs.update(mutants(plain, seed, MUTANTS))
+        inputs.update(lexer_mutants(plain, seed, LEX_MUTANTS))
     inputs.update(clause_mutants())
     env = {**os.environ, "PYTHONHASHSEED": "0"}
     inputs.update(renamed(plain, env))

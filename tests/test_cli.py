@@ -948,6 +948,23 @@ def test_nesting_too_deep_is_a_located_depth_error(tmp_path, capsys, source,
                         r"\d+: [^\n]+\n", err)
 
 
+def test_a_type_error_about_a_1200_binder_telescope_is_a_type_error(
+        tmp_path, capsys):
+    # (y_i : Nat) (p_i : Id Nat y_i y_i) for 600 values of i: reading the
+    # type back for the message walks the whole chain's free variables
+    binders = " ".join(f"(y{i} : Nat) (p{i} : Id Nat y{i} y{i})"
+                       for i in range(600))
+    mod = tmp_path / "tele.fda"
+    mod.write_text("data Nat\n  | zero\n  | suc (n : Nat)\n\n"
+                   f"def f {binders} : Nat => zero\n\ndef g : Nat => f\n")
+    code, out, err = run(capsys, "check", str(mod))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        f"error[E-TYPE] {mod}:7:1: type mismatch: expected Nat, got "
+        "Pi (y0 : Nat) -> Id Nat y0 y0 -> Pi (y1 : Nat) -> ")
+    assert err.endswith("Id Nat y599 y599 -> Nat\n")
+
+
 def test_out_naming_a_directory_is_an_io_error(tmp_path, capsys):
     dest = tmp_path / "dir"
     dest.mkdir()

@@ -241,6 +241,24 @@ def test_a_named_motive_wrong_in_one_part_is_rejected(binders, body, shown):
         "Nat and an identity type")
 
 
+def test_a_named_motive_over_another_carrier_with_the_same_ends_is_rejected():
+    # both ends are `refl`, so only the carrier check tells the identity
+    # types of `Bool` from those of `Nat`
+    src = NAT_BOOL + """\
+def M (z : Id Bool true true) (q : Id (Id Bool true true) refl z) : Type0 => Nat
+
+def t (y : Id Nat zero zero) (p : Id (Id Nat zero zero) refl y) : Nat =>
+  J M zero p
+"""
+    with pytest.raises(TypeCheckError) as ei:
+        check_module(parse(src))
+    assert ei.value.code == "E-TYPE"
+    assert ei.value.message == (
+        "J motive has type Pi (z : Id Bool true true) -> Id (Id Bool true "
+        "true) refl z -> Type0, expected a two-argument family over Id Nat "
+        "zero zero and an identity type")
+
+
 def test_normalization_idempotent_on_function_bodies():
     for name in ["zu.fda", "vec.fda", "helix.fda"]:
         _, sig = load_checked(name)

@@ -378,6 +378,58 @@ def test_lexer_matches_the_reference_on_character_mutants():
         _lexes_like_the_reference(text[:i] + rng.choice(pieces) + text[cut:])
 
 
+# characters that `\s`, `str.split` or `str.splitlines` would take for
+# blanks or line breaks; to the lexer each is an unexpected character
+_NOT_BLANKS = "\f\v\x1c\u00a0\u2028\ufeff"
+# a comment at the very end, a comment right after a token, and identifiers
+# that begin with a keyword, or are one, before a dot
+_SPLIT_EDGES = [
+    "data T -- no newline", "x --", "--", "x\n-- c", "x\n--", "x -- a\n-- b",
+    "x-- c\ny", "(--)\n)", "a->--b", "=>--\n|", "f x--", "a.b--c",
+    "Type01.x", "datax.y", "partial.x", "Type0.x", "refl.x y", "Id.x.y",
+    "Type01.x.y", "partial.def.x", "defs.x", "x.Id", "J.J.J", "\n\n x",
+]
+
+
+def _lexes_from_an_offset_like_the_reference(src: str):
+    # from the start of a third line, past tokens, blanks and a comment
+    head = "data Nat -- n\n\t| zero\r\n"
+    skip = len(reference_lex(head)) - 1  # its tokens, without `eof`
+    try:
+        expected = reference_lex(head + src)[skip:]
+    except ParseError as e:
+        with pytest.raises(ParseError) as ei:
+            lex(head + src, len(head))
+        assert (ei.value.message, ei.value.loc) == (e.message, e.loc), src
+        return
+    assert lexed(head + src, len(head)) == expected, src
+
+
+def test_lexer_matches_the_reference_where_a_split_can_go_wrong():
+    rng = random.Random(27)
+    texts = [p.read_text(encoding="utf-8") for p in _CORPUS_FILES]
+    texts = [t for t in texts if t]
+    inputs = list(_SPLIT_EDGES)
+    for c in _NOT_BLANKS:
+        for i in range(200):
+            text = rng.choice(texts)
+            at = rng.randrange(len(text) + 1)
+            inputs.append(text[:at] + c + text[at + i % 2:])
+        for edge in _SPLIT_EDGES:
+            inputs.append(edge + c)
+            inputs.append(c + edge)
+    for src in inputs:
+        _lexes_like_the_reference(src)
+        _lexes_from_an_offset_like_the_reference(src)
+    for c in _NOT_BLANKS:
+        src = "x\ny\n\nz\n  data T\n  | t" + c + " (x : T) -- " + c
+        for start in (0, 5):
+            with pytest.raises(ParseError) as ei:
+                lex(src, start)
+            assert ei.value.message == f"unexpected character {c!r}"
+            assert ei.value.loc == (6, 6)
+
+
 def test_running_out_of_stack_is_a_depth_error_at_the_current_token(
         monkeypatch):
     # a real overflow turns line tracing off, so raise it at shallow depth
