@@ -12,18 +12,20 @@ own parts as values, then the arguments the node is applied to (see
 `VRigid`). Evaluation is call-by-value: the arguments of a spine evaluate
 before its head. Every position, tail or not, runs on the explicit stack
 of `Normalizer.eval`, so deep evaluation spends the step budget and heap,
-not the interpreter stack; only `_match` recurses, to the depth of the
-written pattern. A value that needs no computation is made where it is
-met, not in a turn of the loop: the leading variable arguments of a spine
-are read when the spine is met, so a spine of variables alone pushes no
-frame; a constructor's spine is its value when its frame resumes; and a
-variable pattern binds without a call.
+not the interpreter stack; only matching a nested constructor pattern
+recurses, to the depth of the written pattern. A value that needs no
+computation is made where it is met, not in a turn of the loop: the
+leading variable arguments of a spine are read when the spine is met, so
+a spine of variables alone pushes no frame, and a constructor's spine is
+its value when its frame resumes.
 
 Clauses fire first-match, column by column: a clause with a column whose
 constructor clashes with the value's is skipped, even when an earlier
 column is neutral. The first clause with no clashing column fires when all
 its columns match, and the call is stuck when that clause has a neutral
-column. Path constructors never compute.
+column. Path constructors never compute. Clauses are read through a
+table per function (`_table`), kept in the signature's `tables` until its
+entry is no longer the `FunDecl` the table was built from.
 
 The step budget counts β-reductions, `J` on `refl` and clause firings. It
 applies afresh to each `normalize` call and to each side of a
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .decls import PatInacc, PatRefl, Pattern, PatVar
+from .decls import FunDecl, PatCtor, PatRefl, Pattern, PatVar
 from .diagnostics import StepBudgetExceeded
 from .signature import Signature
 from .terms import (App, AxiomRef, CtorRef, DataRef, FunRef, IdType, JElim,
@@ -115,6 +117,37 @@ def _inert(t: Term) -> bool:
         if cls not in _INERT_LEAVES:
             return False
     return True
+
+
+def _row(sig: Signature, pats: tuple[Pattern, ...]) -> tuple:
+    """Items `(column, constructor, datatype, parameter count, sub)`:
+    `(i, None, None, 0, name)` for a variable, `(i, None, None, 0, None)`
+    for `refl`, `sub = (row, arity)` for a constructor, none for the rest."""
+    row = []
+    for i, pat in enumerate(pats):
+        cls = pat.__class__
+        if cls is PatVar and pat.name != "_":
+            row.append((i, None, None, 0, pat.name))
+        elif cls is PatRefl:
+            row.append((i, None, None, 0, None))
+        elif cls is PatCtor:
+            row.append((i, pat.name, pat.data,
+                        len(sig.datas[pat.data].decl.params),
+                        (_row(sig, pat.args), len(pat.args))))
+    return tuple(row)
+
+
+def _table(sig: Signature, f: FunDecl) -> tuple:
+    """`(f, rows, datatype, dispatch)`: each clause's `(row, rhs)` and, by
+    each point constructor of the first column's datatype, the rows whose
+    first pattern is that constructor or no constructor."""
+    rows = tuple((_row(sig, c.pats), c.rhs) for c in f.clauses)
+    firsts = [c.pats[0] for c in f.clauses] if f.binders else []
+    data = next((p.data for p in firsts if p.__class__ is PatCtor), None)
+    return f, rows, data, {
+        c.name: tuple(r for r, p in zip(rows, firsts)
+                      if p.__class__ is not PatCtor or p.name == c.name)
+        for c in (sig.datas[data].point_ctors() if data else ())}
 
 
 class Normalizer:
@@ -291,47 +324,56 @@ class Normalizer:
         arity. None when the function is unknown or unsaturated, when no
         clause matches, or when the first clause that does not fail is
         stuck: first-match cannot skip past it."""
-        info = self.sig.funs.get(name)
+        sig = self.sig
+        info = sig.funs.get(name)
         if info is None or len(args) < len(info.binders):
             return None
-        n = len(info.binders)
-        for clause in info.clauses:
+        table = sig.tables.get(name)
+        if table is None or table[0] is not info:
+            table = sig.tables[name] = _table(sig, info)
+        _, rows, data, dispatch = table
+        if dispatch:  # the rows a constructor heading the first argument takes
+            head = args[0].head if args[0].__class__ is VRigid else None
+            if head.__class__ is CtorRef and head.data == data:
+                rows = dispatch.get(head.name, rows)
+        for row, rhs in rows:
             env: Env = {}
-            r = self._match(clause.pats, args, env)
+            r = self._match_row(row, args, env)
             if r != _NOMATCH:
-                return None if r else (env, clause.rhs, args[n:])
+                return None if r else (env, rhs, args[len(info.binders):])
         return None
 
-    def _match(self, pats: tuple[Pattern, ...], vals, env: Env) -> int:
-        """Match `vals` against `pats` pairwise, binding pattern variables
-        in `env`: a variable pattern binds without a call. `_NOMATCH` when
-        any constructor clashes, else `_STUCK` when any value is neutral
-        where a pattern needs a constructor or `refl`."""
+    def _match_row(self, row: tuple, vals, env: Env) -> int:
+        """Match `vals` against a row of `_table`, binding its variables in
+        `env`. `_NOMATCH` when any constructor clashes, else `_STUCK` when
+        any value is neutral where the row needs a constructor or `refl`."""
         worst = _OK
-        for pat, val in zip(pats, vals):
-            cls = pat.__class__
-            if cls is PatVar:
-                if pat.name != "_":
-                    env[pat.name] = val
-                continue
-            if cls is PatInacc:
+        for i, ctor, data, np, sub in row:
+            val = vals[i]
+            if ctor is None:
+                if sub is not None:  # a variable
+                    env[sub] = val
+                elif (val.__class__ is not VRigid
+                      or val.head.__class__ is not Refl):
+                    worst = _STUCK
                 continue
             head = val.head if val.__class__ is VRigid else None
-            if cls is PatRefl:
-                r = _OK if head.__class__ is Refl else _STUCK
-            elif head.__class__ is not CtorRef:  # `pat` is a PatCtor
-                r = _NOMATCH if head.__class__ is Refl else _STUCK
-            elif head.name != pat.name or head.data != pat.data:
-                # `pat` names a point constructor; a path constructor is stuck
-                is_path = self.sig.datas[head.data].ctors[head.name].is_path
-                r = _STUCK if is_path else _NOMATCH
+            if head.__class__ is not CtorRef:
+                if head.__class__ is Refl:
+                    return _NOMATCH
+                worst = _STUCK
+            elif head.name != ctor or head.data != data:
+                # `ctor` is a point constructor; a path constructor is stuck
+                if not self.sig.datas[head.data].ctors[head.name].is_path:
+                    return _NOMATCH
+                worst = _STUCK
             else:
-                slots = val.args[len(self.sig.datas[head.data].decl.params):]
-                r = (self._match(pat.args, slots, env)
-                     if len(slots) == len(pat.args) else _STUCK)
-            if r == _NOMATCH:
-                return _NOMATCH
-            worst |= r
+                slots = val.args[np:]
+                r = (self._match_row(sub[0], slots, env)
+                     if len(slots) == sub[1] else _STUCK)
+                if r == _NOMATCH:
+                    return _NOMATCH
+                worst |= r
         return worst
 
     # -- read-back ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 normalizer, and transformations query.
 
 A completed signature is immutable in practice: checking extends it in
-declaration order, and afterwards it is only read.
+declaration order, and afterwards only the normalizer's clause tables
+(`tables`) are added to it.
 """
 
 from __future__ import annotations
@@ -50,18 +51,22 @@ class DataInfo:
 
 class Signature:
     """Grows only through the `add_*` methods, which keep `names` (every
-    declaration and constructor name) exact."""
+    declaration and constructor name) exact. `tables` holds the
+    normalizer's clause tables by function name; a copy or a rewind starts
+    with none."""
 
     datas: dict[str, DataInfo]
     funs: dict[str, FunDecl]             # checked, a single body as a clause
     axioms: dict[str, AxiomDecl]
     names: set[str]
+    tables: dict[str, tuple]
 
     def __init__(self, datas=None, funs=None, axioms=None, names=None):
         self.datas = {} if datas is None else datas
         self.funs = {} if funs is None else funs
         self.axioms = {} if axioms is None else axioms
         self.names = set() if names is None else names
+        self.tables = {}
 
     def copy(self) -> "Signature":
         return Signature(dict(self.datas), dict(self.funs), dict(self.axioms),

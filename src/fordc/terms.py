@@ -181,7 +181,8 @@ def fresh_name(base: str, *avoid: Container[str]) -> str:
 def subst_term(t: Term, sub: dict[str, Term]) -> Term:
     """Capture-avoiding simultaneous substitution. A node whose subterms
     all come back as the same objects is returned as it is, so a subterm
-    that mentions no substituted name is shared, not copied."""
+    that mentions no substituted name is shared, not copied. A `Pi`/`Lam`
+    chain is walked in a loop, so only its domains recurse."""
     cls = t.__class__
     if cls is App and sub:
         fn, arg = subst_term(t.fn, sub), subst_term(t.arg, sub)
@@ -190,16 +191,29 @@ def subst_term(t: Term, sub: dict[str, Term]) -> Term:
         return sub.get(t.name, t)
     if not sub or cls not in _KIDS:
         return t
-    kids, out, sub2 = _kids(t), [], sub
-    if cls is Pi or cls is Lam:  # rename the binder first, if it captures
-        x2, kids[-1], sub2 = _under_binder(t.binder, kids[-1], sub)
-        out.append(x2)
-    for k in kids[:-1]:
-        out.append(subst_term(k, sub))
-    out.append(subst_term(kids[-1], sub2))
+    if cls is not Pi and cls is not Lam:
+        kids, out = _kids(t), []
+        for k in kids:
+            out.append(subst_term(k, sub))
+        return t if all(map(is_, out, kids)) else cls(*out)
+    # down the chain, renaming each binder first if it captures
+    chain = []
+    while (cls is Pi or cls is Lam) and sub:
+        domain = subst_term(t.domain, sub) if cls is Pi else None
+        x2, body, sub = _under_binder(
+            t.binder, t.codomain if cls is Pi else t.body, sub)
+        chain.append((t, x2, domain))
+        t = body
+        cls = t.__class__
+    out = subst_term(t, sub)
     # `_under_binder` hands back a binder it keeps as the very same str
-    same = all(map(is_, out, [getattr(t, f) for f in cls.__match_args__]))
-    return t if same else cls(*out)
+    for b, x2, domain in reversed(chain):
+        if b.__class__ is Pi:
+            same = x2 is b.binder and domain is b.domain and out is b.codomain
+            out = b if same else Pi(x2, domain, out)
+        else:
+            out = b if x2 is b.binder and out is b.body else Lam(x2, out)
+    return out
 
 
 def _under_binder(x: str, body: Term, sub: dict[str, Term]):

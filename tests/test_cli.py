@@ -965,6 +965,23 @@ def test_a_type_error_about_a_1200_binder_telescope_is_a_type_error(
     assert err.endswith("Id Nat y599 y599 -> Nat\n")
 
 
+def test_applying_a_1200_binder_telescope_is_a_type_error(tmp_path, capsys):
+    # each argument substitutes into the rest of the chain, which mentions
+    # `y0` down to its end
+    binders = " ".join(f"(y{i} : Nat) (p{i} : Id Nat y{i} y{i})"
+                       for i in range(600))
+    mod = tmp_path / "tele.fda"
+    mod.write_text("data Nat\n  | zero\n  | suc (n : Nat)\n\n"
+                   f"def f {binders} : Id Nat y0 y0 => refl\n\n"
+                   "def g : Nat => f zero refl\n")
+    code, out, err = run(capsys, "check", str(mod))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        f"error[E-TYPE] {mod}:7:1: type mismatch: expected Nat, got "
+        "Pi (y1 : Nat) -> Id Nat y1 y1 -> Pi (y2 : Nat) -> ")
+    assert err.endswith("Id Nat y599 y599 -> Id Nat zero zero\n")
+
+
 def test_out_naming_a_directory_is_an_io_error(tmp_path, capsys):
     dest = tmp_path / "dir"
     dest.mkdir()

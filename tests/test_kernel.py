@@ -1178,3 +1178,112 @@ def test_a_lambda_checks_against_a_type_that_computes_to_a_pi(ty):
     # `whnf` of the expected type must compute a call and a `J` head
     check_module(parse(NAT + "\ndef Fun : Type0 => Nat -> Nat\n\n"
                              f"def f : {ty} => \\x => suc x\n"))
+
+
+# -- clauses matched through per-function tables ---------------------------------
+
+TABLES = SECOND + """
+data S1
+  | base
+  | loop : Id S1 base base
+
+partial def half (n : Nat) : Nat
+  | zero => zero
+  | (suc zero) => zero
+  | (suc (suc k)) => suc (half k)
+
+def ends (x : Nat) (y : Nat) (p : Id Nat x y) : Nat
+  | x .(x) refl => x
+
+def onBase (s : S1) : Nat
+  | base => zero
+  | _ => suc zero
+
+def firstOr (m : Nat) (n : Nat) : Nat
+  | zero n => n
+  | m n => m
+
+data Vec (A : Type0) : (n : Nat)
+  | nil [zero]
+  | cons [suc m] (x : A) (xs : Vec A m)
+
+def tail (A : Type0) (n : Nat) (v : Vec A (suc n)) : Vec A n
+  | A n (cons .(n) _ xs) => xs
+"""
+
+
+@pytest.mark.parametrize("term, steps, normal", [
+    ("half (suc (suc (suc (suc (suc zero)))))", 3, "suc (suc zero)"),
+    ("half (suc (suc x))", 1, "suc (half x)"),
+    ("half (suc x)", 0, "half (suc x)"),
+    ("half (suc suc)", 0, "half (suc suc)"),
+    ("half suc", 0, "half suc"),
+    ("half (\\y => y)", 0, "half (\\y => y)"),
+    ("plus suc x", 0, "plus suc x"),
+    ("ends zero zero refl", 1, "zero"),
+    ("ends x y refl", 1, "x"),
+    ("ends zero zero p", 0, "ends zero zero p"),
+    ("onBase base", 1, "zero"),
+    ("onBase loop", 0, "onBase loop"),
+    ("onBase zero", 1, "suc zero"),
+    ("onBase x", 0, "onBase x"),
+    ("tail Nat x (cons Nat x zero y)", 1, "y"),
+    ("tail Nat zero (cons Nat zero zero (nil Nat))", 1, "nil Nat"),
+    ("tail Nat x (cons Nat x y)", 0, "tail Nat x (cons Nat x y)"),
+    ("firstOr (suc x) zero", 1, "suc x"),
+    ("firstOr x zero", 0, "firstOr x zero"),
+], ids=["nested-row", "nested-row-stuck-below", "nested-row-neutral-slot",
+        "nested-short-constructor", "short-constructor-above-a-nested-row",
+        "closure-under-a-constructor-pattern",
+        "short-constructor", "refl-on-refl", "refl-on-refl-open",
+        "refl-on-a-neutral-path", "point-constructor",
+        "path-constructor-blocks-later-clauses",
+        "constructor-of-another-datatype", "neutral-blocks-later-clauses",
+        "wildcard-and-inaccessible-subpatterns", "nested-value-in-a-slot",
+        "short-constructor-with-subpatterns", "variable-row-after-a-clash",
+        "stuck-first-clause-ahead-of-a-match"])
+def test_clauses_match_through_their_table(term, steps, normal):
+    sig = check_module(parse(TABLES))
+    nrm = Normalizer(sig)
+    n = nrm.normalize(pt(sig, term, locals_=("x", "y", "p")))
+    assert (nrm.steps, n) == (steps, pt(sig, normal,
+                                        locals_=("x", "y", "p")))
+
+
+def test_a_path_constructor_named_like_a_point_one_is_stuck():
+    # `Z.zero` is no `Nat.zero`, and a path constructor: the `suc` row is
+    # stuck on it, so the catch-all row below cannot fire
+    sig = check_module(parse(NAT + """
+data Z
+  | o
+  | zero : Id Z o o
+
+def pred (n : Nat) : Nat
+  | (suc k) => k
+  | _ => Nat.zero
+"""))
+    t = pt(sig, "pred Z.zero")
+    assert normalize(sig, t) == t
+    assert normalize(sig, pt(sig, "pred Z.o")) == pt(sig, "Nat.zero")
+
+
+def test_two_modules_defining_f_each_evaluate_by_their_own_clauses():
+    sigs = [check_module(parse(NAT + f"\ndef f (n : Nat) : Nat\n  | {c}\n"))
+            for c in ("zero => zero\n  | (suc k) => k", "n => suc n")]
+    for _ in range(2):  # each table in turn, then again once both exist
+        assert [normalize(sig, pt(sig, "f (suc zero)")) for sig in sigs] == [
+            pt(sigs[0], "zero"), pt(sigs[1], "suc (suc zero)")]
+
+
+def test_a_call_met_before_its_clauses_land_computes_after():
+    # checking `f`'s last clause evaluates `f k` while `f` has no clause
+    sig = check_module(parse(NAT + """
+def same (a : Nat) (b : Nat) (p : Id Nat a b) : Nat => a
+
+def f (n : Nat) : Nat
+  | zero => zero
+  | (suc k) => same (f k) (f k) refl
+
+def t : Id Nat (f (suc zero)) zero => refl
+"""))
+    assert normalize(sig, pt(sig, "f (suc (suc zero))")) == pt(sig, "zero")

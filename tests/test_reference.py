@@ -145,3 +145,41 @@ def test_values_of_every_shape_applied_in_every_context_agree():
     flagged, skipped = disagreements(sig, terms)
     assert flagged == []
     assert (len(terms), skipped) == (260, 12)
+
+
+TABLES_MODULE = SHAPES_MODULE + """
+partial def half (n : Nat) : Nat
+  | zero => zero
+  | (suc zero) => zero
+  | (suc (suc k)) => suc (half k)
+
+def rf (b : Nat) (x : Nat) (y : Nat) (p : Id Nat x y) : Nat
+  | zero x .(x) refl => x
+  | b x y p => b
+
+def mid (s : S1) (n : Nat) : Nat
+  | base (suc k) => k
+  | s n => n
+  | base zero => zero
+"""
+
+# nested constructor rows, a `refl` column ahead of a variable row, and a
+# variable row between constructor rows; each partly applied, with short
+# constructors, neutral values and a path constructor among the arguments
+TABLE_HEADS = ["half", "half (suc (suc (suc x)))", "half (suc suc)",
+               "half suc", "rf zero", "rf zero x x", "rf zero x x p",
+               "rf (suc x) zero zero", "mid", "mid base", "mid loop",
+               "mid loop (suc x)", "mid base (suc suc)", "mid x"]
+
+
+def test_clause_tables_applied_in_every_context_agree():
+    sig = check_module(parse(TABLES_MODULE))
+    terms = []
+    for context in CONTEXTS:
+        for head in TABLE_HEADS:
+            text = context.format(head)
+            terms.append((text, parse_term_text(text, sig.name_env(),
+                                                locals_=("x", "p"))))
+    flagged, skipped = disagreements(sig, terms)
+    assert flagged == []
+    assert (len(terms), skipped) == (182, 0)
