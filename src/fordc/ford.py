@@ -16,7 +16,7 @@ from .decls import (Binder, Clause, CtorDecl, DataDecl, FunDecl, PatCtor,
 from .diagnostics import TransformError
 from .node import node
 from .parser import is_ident, parse
-from .printer import decl_offset, print_module, print_term
+from .printer import decl_line, print_module, print_term
 from .signature import Signature
 from .terms import (REFL, CtorRef, DataRef, FunRef, IdType, Term, Var,
                     data_refs, free_vars, fresh_name, map_term, mk_app, spine,
@@ -236,10 +236,10 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
                 suffix: str = "F") -> tuple[SourceModule, FordPlan]:
     """Extend a checked module with the forded family and converters.
 
-    Only the three appended declarations are parsed back from the printed
-    output, against the input's names, so they resolve and are located as a
-    reader of the output sees them; the caller re-checks only those, on top
-    of the input's signature."""
+    Only the three appended declarations are printed and parsed back,
+    against the input's names and from their line in the whole output, so
+    they resolve and are located as a reader of the output sees them; the
+    caller re-checks only those, on top of the input's signature."""
     d = m.find_data(name)
     if d is None:
         raise TransformError(f"no datatype named {name!r} in the module",
@@ -250,6 +250,7 @@ def ford_module(m: SourceModule, sig: Signature, name: str,
             "is not supported", code="E-FORD-TARGET", loc=d.loc)
     forded, plan = ford_data(d, sig, suffix)
     to_fun, from_fun = gen_converters(plan, sig)
-    text = print_module(SourceModule(m.decls + (forded, to_fun, from_fun)))
-    added = parse(text, sig.name_env(), decl_offset(text, len(m.decls)))
+    out = SourceModule(m.decls + (forded, to_fun, from_fun))
+    k = len(m.decls)
+    added = parse(print_module(out, k), sig.name_env(), decl_line(out, k))
     return SourceModule(m.decls + added.decls), plan

@@ -485,9 +485,11 @@ class Checker:
             fill = [PatVar("_")] * (len(c.patvars) + len(c.args) if c else 0)
             rows2 = [list(getattr(rows[i][0], "args", fill)) + rows[i][1:]
                      for i in sorted(heads.get(head, []) + wild)]
-            if fresh and any(map(_all_vars, rows2)):
+            if fresh and any(map(_vars_or_refl, rows2)):
                 # only variable columns lead here: that row's clause took
-                # this case at this type, up to renaming, and it covers it
+                # this case at this type, up to renaming, and it covers it;
+                # a refl in it is the one case of its identity type, which
+                # that clause's elaboration unified at this generality too
                 continue
             _, slots, value, res, _ = open_case(self.sig, self.nrm, tyn, c,
                                                 taken)
@@ -579,6 +581,10 @@ def _no_occ(t: Term, group: set[str], where: str):
 
 def _all_vars(pats) -> bool:
     return all(isinstance(p, (PatVar, PatInacc)) for p in pats)
+
+
+def _vars_or_refl(pats) -> bool:
+    return all(isinstance(p, (PatVar, PatInacc, PatRefl)) for p in pats)
 
 
 def _undecided(fname: str, c: CtorInfo | None, res: UnifyStuck):

@@ -16,7 +16,7 @@ from .decls import (Binder, CtorDecl, DataDecl, FunDecl, PatCtor,
 from .diagnostics import TransformError
 from .node import node
 from .parser import parse
-from .printer import decl_offset, print_module
+from .printer import decl_line, print_module
 from .signature import Signature
 from .terms import (App, CtorRef, DataRef, IdType, Term, Univ, data_refs,
                     fresh_name, map_term)
@@ -167,14 +167,14 @@ def merge_block(m: SourceModule, sig: Signature, names: list[str],
                                 CtorRef(enum_name, tag_of[d.name])))
                for d in block]
 
-    text = print_module(SourceModule(
-        m.decls[:lo] + (enum_decl, family_decl, *aliases) + m.decls[hi + 1:]))
-    # parse back only the text from the block on (the declarations before
-    # it are the input's own), against the names before it: later ones now
-    # resolve the old type names to the aliases, and a dangling constructor
-    # reference is a scope error located in the output
-    tail = parse(text, sig.rewind(m.decls[lo:]).name_env(),
-                 decl_offset(text, lo))
+    out = SourceModule(
+        m.decls[:lo] + (enum_decl, family_decl, *aliases) + m.decls[hi + 1:])
+    # print and parse back only the text from the block on (the declarations
+    # before it are the input's own), against the names before it: later
+    # ones now resolve the old type names to the aliases, and a dangling
+    # constructor reference is a scope error located in the output
+    tail = parse(print_module(out, lo), sig.rewind(m.decls[lo:]).name_env(),
+                 decl_line(out, lo))
     plan = MergePlan([d.name for d in block], enum_name, family_name,
                      tag_of, ctor_map, list(path_ctors))
     return SourceModule(m.decls[:lo] + tail.decls), plan

@@ -40,15 +40,15 @@ class Tokens:
     in `eof`, which `lex` fills. A position is computed from the offsets of
     the newlines, which are found here."""
 
-    def __init__(self, src: str, start: int):
-        # newline offsets, after a virtual one just before `start` (a line
-        # start), which ends line `self.line`
-        self.newlines = newlines = [start - 1]
-        i = src.find("\n", start)
+    def __init__(self, src: str, line: int):
+        # newline offsets, after a virtual one just before the text, which
+        # ends line `self.line`, the one before the text's first
+        self.newlines = newlines = [-1]
+        i = src.find("\n")
         while i >= 0:
             newlines.append(i)
             i = src.find("\n", i + 1)
-        self.line = src.count("\n", 0, start)
+        self.line = line - 1
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -81,27 +81,27 @@ def is_ident(name: str) -> bool:
     return re.fullmatch(_IDENT, name) is not None and name not in KEYWORDS
 
 
-def lex(src: str, start: int = 0) -> Tokens:
-    """Scan `src` from `start`, a line start, into `Tokens` with one
+def lex(src: str, line: int = 1) -> Tokens:
+    """Scan `src`, whose first line is line `line`, into `Tokens` with one
     `_SPLIT.split`. Its odd pieces are the tokens and comments, its even
     ones the blanks, where any character but space, tab, CR and LF is
     unexpected. A token's offset is the running total (`accumulate`) of the
-    lengths before it; lines count from 1 at the start of `src`. A `--`
-    comment runs to the end of its line and does not advance the column, so
-    an `eof` right after one keeps the comment's column."""
-    toks = Tokens(src, start)
-    parts = _SPLIT.split(src[start:])
+    lengths before it. A `--` comment runs to the end of its line and does
+    not advance the column, so an `eof` right after one keeps the comment's
+    column."""
+    toks = Tokens(src, line)
+    parts = _SPLIT.split(src)
     parts.append("")  # the text of `eof`, after the last blank
     texts = parts[1::2]
     # each token's start, `eof`'s being the end of the text
-    offsets = list(islice(accumulate(map(len, parts), initial=start),
+    offsets = list(islice(accumulate(map(len, parts), initial=0),
                           1, None, 2))
     if _STRAY.search("".join(parts[::2])):
         for blank, end in zip(parts[::2], offsets):
             if bad := _STRAY.search(blank):
                 raise ParseError(f"unexpected character {bad.group()!r}",
                                  *toks.locate(end - len(blank) + bad.start()))
-    if src.find("--", start) >= 0:
+    if "--" in src:
         if not parts[-2] and texts[-2][:2] == "--":  # it ends the text
             offsets[-1] = offsets[-2]
         keep = [t[:2] != "--" for t in texts]
@@ -109,7 +109,7 @@ def lex(src: str, start: int = 0) -> Tokens:
         offsets = list(compress(offsets, keep))
     del parts  # free the blanks before the kinds are made
     toks.kinds = kinds = list(map(_KIND.get, texts, repeat("ident")))
-    if src.find(".", start) >= 0:  # a dotted identifier is qualified
+    if "." in src:  # a dotted identifier is qualified
         for i in compress(count(), map(contains, texts, repeat("."))):
             if texts[i] != ".":
                 kinds[i] = "qident"
@@ -559,10 +559,10 @@ class Parser:
 
 
 def parse(source: str, env: NameEnv | None = None,
-          start: int = 0) -> SourceModule:
-    """Parse and scope-check the module in `source` from the line that
-    begins at `start`. Raises ParseError / ScopeError."""
-    p = Parser(lex(source, start), (env or NameEnv()).copy())
+          line: int = 1) -> SourceModule:
+    """Parse and scope-check the module in `source`, whose first line is
+    line `line`. Raises ParseError / ScopeError."""
+    p = Parser(lex(source, line), (env or NameEnv()).copy())
     return p.guarded(p.parse_module)
 
 

@@ -201,12 +201,15 @@ def _print_fun(f: FunDecl, qual: frozenset[str]) -> str:
     return "\n".join(lines)
 
 
-def print_module(m: SourceModule) -> str:
-    """Canonical text for a module; empty module prints as empty text."""
+def print_module(m: SourceModule, start: int = 0) -> str:
+    """Canonical text for a module; empty module prints as empty text.
+    From `start` on, the text of `m.decls[start:]` alone, which is the tail
+    of the whole text from line `decl_line(m, start)`: which constructors
+    to qualify is still decided from all of `m`."""
     ambiguous = ambiguous_ctors(m)
     ctors = {c.name for d in m.data_decls() for c in d.ctors}
     blocks = []
-    for d in m.decls:
+    for d in m.decls[start:]:
         captured = ctors.intersection(_bound_names(d))
         qual = ambiguous | captured if captured else ambiguous
         if isinstance(d, DataDecl):
@@ -225,7 +228,17 @@ def print_module(m: SourceModule) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def decl_offset(text: str, k: int) -> int:
-    """Where declaration `k` starts in `print_module`'s text: after the k
-    blocks before it and their separators, as no block holds a blank line."""
-    return sum(len(b) + 2 for b in text.split("\n\n", k)[:k])
+def decl_line(m: SourceModule, k: int) -> int:
+    """The line on which `print_module(m)` starts declaration `k`, counted
+    from the shapes of the blocks before it, which are not printed: a
+    header line, a line per constructor row or clause (or one `=>` body
+    line), `mutual` and `end` around a block's members, and a blank line
+    after each block. No printed term holds a line break."""
+    line = 1
+    for d in m.decls[:k]:
+        for x in members(d):
+            line += 1 + (len(x.ctors) if isinstance(x, DataDecl) else
+                         0 if isinstance(x, AxiomDecl) else
+                         1 if x.body is not None else len(x.clauses))
+        line += 1 + 2 * isinstance(d, MutualBlock)
+    return line

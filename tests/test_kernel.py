@@ -8,7 +8,7 @@ from fordc import (Checker, CoverageError, FordcError, PatVar, SourceModule,
                    UnifyStuck, UnifySuccess, canonical_values, check_module,
                    convertible, normalize, parse, parse_term_text,
                    prelude_signature, print_term, unify_terms)
-from fordc import cli, kernel
+from fordc import cli, ford_module, kernel, print_module
 from fordc.normalize import Normalizer
 from fordc.signature import Signature
 from fordc.terms import (REFL, App, AxiomRef, CtorRef, DataRef, IdType, JElim,
@@ -589,6 +589,41 @@ data Nat
     check_module(parse(base.replace("{DEF}", "partial")))
 
 
+@pytest.mark.parametrize("src, code, loc, message", [
+    # a lambda binder named like a variable in scope is renamed, so `p`'s
+    # `n` is not taken for the lambda's
+    ("def f (n : Nat) (p : Id Nat n zero) : Pi (m : Nat) -> Id Nat m zero\n"
+     "  => \\n => p\n", "E-TYPE", (9, 1),
+     "type mismatch: expected Id Nat n1 zero, got Id Nat n zero"),
+    ("def f (n : Nat) : Nat\n  | true => zero\n", "E-TYPE", (10, 3),
+     "pattern Bool.true cannot match a scrutinee of type Nat"),
+    ("def f (A : Type0) : Nat\n  | zero => zero\n", "E-TYPE", (10, 3),
+     "pattern Nat.zero cannot match a scrutinee of type Type0"),
+    ("data D : (n : Nat)\n  | c [true]\n", "E-TYPE", (10, 3),
+     "constructor c: pattern head true does not construct Nat"),
+    ("data D : (A : Type0)\n  | c [zero]\n", "E-TYPE", (10, 3),
+     "constructor c: pattern head zero does not construct Type0"),
+    # no clause, and the one case of the column is stuck
+    ("data D : (n : Nat)\n  | b [zero]\n\naxiom c : Nat\n\n"
+     "def f (v : D c) : Nat\n", "E-COVERAGE", (14, 1),
+     "def f: cannot decide coverage for D.b: unification stuck on c"),
+    # `f n` passes no second argument, so that position does not decrease
+    ("def apply (h : Nat -> Nat) (n : Nat) : Nat => h n\n\n"
+     "def f (n : Nat) (m : Nat) : Nat\n  | n zero => zero\n"
+     "  | n (suc k) => apply (f n) k\n", "E-TERMINATION", (11, 1),
+     "def f: no argument position decreases structurally in every "
+     "recursive call (mark the definition 'partial' to skip this check)"),
+], ids=["shadowing-lambda", "other-datatype-pattern", "non-datatype-pattern",
+        "other-datatype-row", "non-datatype-row", "stuck-empty-column",
+        "partial-recursive-call"])
+def test_a_rejection_keeps_its_code_location_and_text(src, code, loc,
+                                                      message):
+    with pytest.raises(FordcError) as ei:
+        check_module(parse(NAT_BOOL + src))
+    assert (ei.value.code, ei.value.loc, ei.value.message) == (
+        code, loc, message)
+
+
 def test_inaccessible_pattern_accepted():
     src = """
 data Nat
@@ -780,17 +815,88 @@ WIDE_CLAUSES = ["  | n w0 => zero\n", "  | n (w1 m x) => suc (f m x)\n",
                 "  | n (w4 k x) => f k x\n"]
 
 
-def test_coverage_takes_the_cases_clause_elaboration_opened(monkeypatch):
-    callers = []
-    opened = kernel.open_case
+def opened_cases(monkeypatch, src: str) -> list[tuple[str, str | None]]:
+    """(caller, constructor name, None for refl) of each `open_case` call
+    that checking `src` makes."""
+    opened = []
+    open_case = kernel.open_case
 
-    def spy(*args, **kw):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return opened(*args, **kw)
+    def spy(sig, nrm, tyn, c, *args, **kw):
+        opened.append((sys._getframe(1).f_code.co_name, c and c.name))
+        return open_case(sig, nrm, tyn, c, *args, **kw)
 
     monkeypatch.setattr(kernel, "open_case", spy)
-    check_module(parse(WIDE + "".join(WIDE_CLAUSES)))
+    check_module(parse(src))
+    monkeypatch.undo()
+    return opened
+
+
+def test_coverage_takes_the_cases_clause_elaboration_opened(monkeypatch):
+    callers = [caller for caller, _ in
+               opened_cases(monkeypatch, WIDE + "".join(WIDE_CLAUSES))]
     assert callers == ["_elab_ctor"] * len(WIDE_CLAUSES)
+
+
+# a family `G` of `n` constructors, each of one of the rows the `transform`
+# benchmark draws, which `forded_g` fords into `GF`, `toGF` and `fromGF`
+G_ROWS = ["[zero]", "[suc zero]", "[suc m] (x : G m)", "[suc m] (y : Nat)",
+          "[suc (suc m)] (x : G m)"]
+
+
+def forded_g(n: int) -> str:
+    m = parse(NAT + "\ndata G : (n : Nat)\n" + "".join(
+        f"  | g{j} {G_ROWS[j % len(G_ROWS)]}\n" for j in range(n)))
+    return print_module(ford_module(m, check_module(m), "G")[0])
+
+
+@pytest.mark.parametrize("n", [60, 240, 960])
+def test_coverage_reuses_a_case_whose_row_holds_only_variables_and_refl(
+        monkeypatch, n):
+    # each `fromGF` clause matches `GF.g<j>` with a `refl` inside; its
+    # elaboration opened that case and the `refl` under it, so coverage
+    # opens neither again (it opened both, 2 * n cases, before)
+    callers = [c for c, _ in opened_cases(monkeypatch, forded_g(n))]
+    assert callers.count("_cover") == 0
+    assert callers.count("_elab_ctor") == 2 * n
+
+
+@pytest.mark.parametrize("j", range(len(G_ROWS)))
+def test_a_missing_clause_with_refl_inside_keeps_its_text(j):
+    text = forded_g(len(G_ROWS))
+    clause = next(line for line in text.splitlines(keepends=True)
+                  if line.startswith(f"  | n (GF.g{j} "))
+    slots = "_ _ _ _" if "m" in G_ROWS[j] else "_ _"
+    assert coverage_message(text.replace(clause, "")) == (
+        f"def fromGF: missing canonical case: _ g{j} {slots}")
+
+
+def test_a_nested_refl_behind_a_constructor_split_opens_its_case(
+        monkeypatch):
+    # `zero` inside `suc` splits `n` first, so the `refl` column is
+    # reached through a constructor split, not through variables alone
+    src = NAT + """
+def f (n : Nat) (p : Id Nat n (suc zero)) : Nat
+  | (suc zero) refl => zero
+"""
+    assert [c for caller, c in opened_cases(monkeypatch, src)
+            if caller == "_cover"] == ["zero", "suc", "zero", None, "suc"]
+
+
+def test_a_stuck_nested_refl_is_the_clause_unification_error():
+    # `refl` at `Id Nat x x` would need K; the clause says so before
+    # coverage could take its row as covering
+    src = NAT + """
+data B
+  | mk (x : Nat) (p : Id Nat x x)
+
+def f (b : B) : Nat
+  | (mk x refl) => zero
+"""
+    with pytest.raises(FordcError) as ei:
+        check_module(parse(src))
+    assert (ei.value.code, ei.value.loc) == ("E-UNIFY-STUCK", (10, 3))
+    assert ei.value.message == ("matching refl: unification stuck on "
+                                "neutral term x")
 
 
 def test_the_first_missing_case_is_in_constructor_order():

@@ -4,12 +4,13 @@ import re
 import pytest
 
 from fordc import (DataDecl, FunDecl, MutualBlock, ParseError, PatCtor,
-                   PatInacc, PatVar, ScopeError, parse, parse_term_text,
-                   prelude_signature, print_module)
+                   PatInacc, PatVar, ScopeError, cli, ford_module,
+                   merge_block, parse, parse_term_text, prelude_signature,
+                   print_module)
 from fordc.parser import KEYWORDS, Parser, lex, parse as parse_from
-from fordc.printer import decl_offset
+from fordc.printer import decl_line
 from fordc.terms import CtorRef
-from conftest import CORPUS, corpus_text, load
+from conftest import CORPUS, corpus_text, load, load_checked
 
 
 def test_smallest_enumeration_one_liner():
@@ -132,9 +133,9 @@ def test_empty_module():
     assert print_module(m) == ""
 
 
-def lexed(src: str, start: int = 0) -> list[tuple[str, str, int, int]]:
+def lexed(src: str, line: int = 1) -> list[tuple[str, str, int, int]]:
     """(kind, text, line, column) of each token `lex` scans."""
-    toks = lex(src, start)
+    toks = lex(src, line)
     return [(k, t, *toks.position(i))
             for i, (k, t) in enumerate(zip(toks.kinds, toks.texts))]
 
@@ -214,8 +215,8 @@ def f (a : Nat) (b : Nat) : Nat
                            PatInacc(CtorRef("Nat", "zero")))
 
 
-def test_lexer_from_an_offset_counts_lines_from_the_start():
-    assert lexed("a\nb\n\n  c", 5) == [("ident", "c", 4, 3), ("eof", "", 4, 4)]
+def test_lexer_from_a_line_counts_lines_from_it():
+    assert lexed("  c", 4) == [("ident", "c", 4, 3), ("eof", "", 4, 4)]
 
 
 def _locs(decl):
@@ -235,21 +236,53 @@ def _locs(decl):
                          ids=lambda p: p.name)
 def test_suffix_parse_matches_the_whole_parse(golden):
     # what a transform parses back: the printed text from declaration k on,
-    # against the names declared before it; `==` ignores locations
+    # from its line, against the names declared before it; `==` ignores
+    # locations
     text = golden.read_text(encoding="utf-8")
-    whole = parse(text).decls
+    m = parse(text)
+    whole = m.decls
     p = Parser(lex(text), prelude_signature().name_env())
     for k in range(len(whole)):
-        suffix = parse_from(text, p.env, decl_offset(text, k)).decls
+        suffix = parse_from(print_module(m, k), p.env,
+                            decl_line(m, k)).decls
         assert suffix == whole[k:]
         assert ([list(_locs(d)) for d in suffix]
                 == [list(_locs(d)) for d in whole[k:]])
         p.parse_decl()
 
 
-def test_lexer_error_from_an_offset_counts_lines_from_the_start():
+# the corpus manifest's `ford` and `merge` cases: (kind, input, target,
+# path constructor specs)
+TRANSFORMS = [(f[0], f[1], f[3], f[4:]) for f in map(str.split, (
+    CORPUS / "manifest.txt").read_text(encoding="utf-8").splitlines())
+    if f and f[0] in ("ford", "merge")]
+
+
+@pytest.mark.parametrize("kind, name, target, specs", TRANSFORMS,
+                         ids=[f"{t[0]}-{t[1]}" for t in TRANSFORMS])
+def test_a_transform_parses_back_what_the_whole_print_gives(kind, name,
+                                                            target, specs):
+    # the whole output printed, and parsed from the offset of the first
+    # changed declaration, with the lines before it kept as blank lines
+    m, sig = load_checked(name)
+    if kind == "ford":
+        out, _ = ford_module(m, sig, target)
+    else:
+        paths = [tuple(spec.split(":")) for spec in specs]
+        out, _ = merge_block(m, sig, target.split(","), paths)
+    k = cli._shared_prefix(m.decls, out.decls)
+    text = print_module(out)
+    start = sum(len(b) + 2 for b in text.split("\n\n", k)[:k])
+    whole = parse_from("\n" * text.count("\n", 0, start) + text[start:],
+                       sig.rewind(m.decls[k:]).name_env()).decls
+    assert out.decls[k:] == whole
+    assert ([list(_locs(d)) for d in out.decls[k:]]
+            == [list(_locs(d)) for d in whole])
+
+
+def test_lexer_error_from_a_line_counts_lines_from_it():
     with pytest.raises(ParseError) as ei:
-        lex("a\nb\n\n  c @", 5)
+        lex("  c @", 4)
     assert ei.value.message == "unexpected character '@'"
     assert ei.value.loc == (4, 5)
 
@@ -391,18 +424,18 @@ _SPLIT_EDGES = [
 ]
 
 
-def _lexes_from_an_offset_like_the_reference(src: str):
-    # from the start of a third line, past tokens, blanks and a comment
+def _lexes_from_a_line_like_the_reference(src: str):
+    # from the third line, past tokens, blanks and a comment
     head = "data Nat -- n\n\t| zero\r\n"
     skip = len(reference_lex(head)) - 1  # its tokens, without `eof`
     try:
         expected = reference_lex(head + src)[skip:]
     except ParseError as e:
         with pytest.raises(ParseError) as ei:
-            lex(head + src, len(head))
+            lex(src, 3)
         assert (ei.value.message, ei.value.loc) == (e.message, e.loc), src
         return
-    assert lexed(head + src, len(head)) == expected, src
+    assert lexed(src, 3) == expected, src
 
 
 def test_lexer_matches_the_reference_where_a_split_can_go_wrong():
@@ -420,12 +453,12 @@ def test_lexer_matches_the_reference_where_a_split_can_go_wrong():
             inputs.append(c + edge)
     for src in inputs:
         _lexes_like_the_reference(src)
-        _lexes_from_an_offset_like_the_reference(src)
+        _lexes_from_a_line_like_the_reference(src)
     for c in _NOT_BLANKS:
         src = "x\ny\n\nz\n  data T\n  | t" + c + " (x : T) -- " + c
-        for start in (0, 5):
+        for skip, line in (("", 1), ("x\ny\n\n", 4)):
             with pytest.raises(ParseError) as ei:
-                lex(src, start)
+                lex(src.removeprefix(skip), line)
             assert ei.value.message == f"unexpected character {c!r}"
             assert ei.value.loc == (6, 6)
 

@@ -2,7 +2,7 @@ import pytest
 
 from fordc import parse, parse_term_text, prelude_signature, print_module, print_term
 from fordc import printer, terms
-from fordc.printer import APP, ATOM
+from fordc.printer import APP, ATOM, decl_line
 from fordc.terms import (App, CtorRef, DataRef, FunRef, IdType, Lam, Pi, Univ,
                          Var, mk_app)
 from conftest import CORPUS, FORCED_SLOT, NAT_BOOL, corpus_text
@@ -20,6 +20,42 @@ def test_print_parse_round_trip(name):
     # fixed point of parse-then-print
     assert print_module(again) == text
     assert again == m  # corpus sources are canonical; names survive
+
+
+# every kind of block, each followed by another: no corpus module has a
+# declaration after a mutual block
+EVERY_BLOCK = NAT_BOOL + """\
+mutual
+data Even
+  | ev0
+  | evS (o : Odd)
+data Odd
+  | odS (e : Even)
+end
+
+axiom ax : Nat
+
+partial def loop (n : Nat) : Nat
+  => loop n
+
+def isZero (n : Nat) : Bool
+  | zero => true
+  | (suc k) => false
+"""
+TEXTS = {str(p.relative_to(CORPUS)): p.read_text(encoding="utf-8")
+         for p in sorted(CORPUS.glob("**/*.fda"))} | {"every": EVERY_BLOCK}
+
+
+@pytest.mark.parametrize("name", TEXTS)
+def test_a_tail_print_is_the_whole_print_from_decl_line(name):
+    # for every k: the text of declarations k on, qualified as in the whole
+    # module, and the line on which the whole print starts declaration k
+    m = parse(TEXTS[name])
+    lines = print_module(m).splitlines(keepends=True)
+    for k in range(len(m.decls)):
+        n = decl_line(m, k)
+        assert "".join(lines[n - 1:]) == print_module(m, k)
+        assert k == 0 or lines[n - 2] == "\n"
 
 
 @pytest.mark.parametrize("pat", ["(suc k)", ".(zero)"],
