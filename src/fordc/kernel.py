@@ -483,13 +483,18 @@ class Checker:
             head = c and c.name
             # a refl pattern has no sub-patterns, a variable one per slot
             fill = [PatVar("_")] * (len(c.patvars) + len(c.args) if c else 0)
+            took = heads.get(head, [])
+            idx = sorted(took + wild)
             rows2 = [list(getattr(rows[i][0], "args", fill)) + rows[i][1:]
-                     for i in sorted(heads.get(head, []) + wild)]
-            if fresh and any(map(_vars_or_refl, rows2)):
+                     for i in idx]
+            if fresh and any((_vars_or_refl if i in took else _all_vars)(r)
+                             for i, r in zip(idx, rows2)):
                 # only variable columns lead here: that row's clause took
                 # this case at this type, up to renaming, and it covers it;
-                # a refl in it is the one case of its identity type, which
-                # that clause's elaboration unified at this generality too
+                # a refl in a row that took this case is the one case of
+                # its identity type, which that clause's elaboration unified
+                # at this instance too (a variable row's refl was unified
+                # at the general type only)
                 continue
             _, slots, value, res, _ = open_case(self.sig, self.nrm, tyn, c,
                                                 taken)

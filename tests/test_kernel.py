@@ -899,6 +899,21 @@ def f (b : B) : Nat
                                 "neutral term x")
 
 
+def test_a_refl_in_a_variable_row_does_not_cover_a_case_it_did_not_take():
+    # the second clause's `refl` was unified at `Id Nat n c`, with `n`
+    # general; at the case `suc` the identity type is stuck on `c`, and
+    # that row must not be taken as covering it
+    src = NAT + """
+axiom c : Nat
+
+def f (n : Nat) (m : Nat) (p : Id Nat n c) : Nat
+  | zero m q => zero
+  | n m refl => zero
+"""
+    assert coverage_message(src) == (
+        "def f: cannot decide coverage of an identity type stuck on c")
+
+
 def test_the_first_missing_case_is_in_constructor_order():
     # clauses in reverse constructor order, w0 and w2 missing
     clauses = [c for i, c in enumerate(WIDE_CLAUSES) if i not in (0, 2)]
