@@ -299,7 +299,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--step-budget", type=int, default=None,
                         help="normalization step budget "
-                             "(default 100000, env FORDC_STEP_BUDGET)")
+                             f"(default {DEFAULT_STEP_BUDGET}, "
+                             "env FORDC_STEP_BUDGET)")
         sp.add_argument("--json", action="store_true",
                         help="diagnostics as JSON lines on stderr")
 

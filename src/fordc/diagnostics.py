@@ -1,33 +1,13 @@
 """Diagnostic codes, the diagnostic record, and the exception hierarchy.
 
-Every user-facing failure carries a stable code from CODES so scripts can
-match on it; the CLI renders diagnostics as text or JSON lines.
+Every user-facing failure carries a stable code so scripts can match on
+it; README's "Diagnostic codes" table lists each code with its meaning.
+The CLI renders diagnostics as text or JSON lines.
 """
 
 from __future__ import annotations
 
 from .node import node
-
-CODES = {
-    "E-PARSE": "source text does not match the grammar",
-    "E-SCOPE": "unknown, ambiguous, or duplicate name",
-    "E-ARITY": "wrong number of patterns, arguments, or availability entries",
-    "E-TYPE": "expected and actual types differ",
-    "E-UNIVERSE": "term does not fit in the two-universe hierarchy",
-    "E-UNIFY-STUCK": "index unification blocked on a neutral term",
-    "E-UNIFY-CLASH": "index unification hit distinct rigid constructors",
-    "E-COVERAGE": "clauses do not cover every canonical case",
-    "E-TERMINATION": "no argument position decreases structurally",
-    "E-POSITIVITY": "datatype occurs in a negative position",
-    "E-STEP-BUDGET": "normalization exceeded the step budget",
-    "E-DEPTH": "input nested too deeply for the parser or the checker",
-    "E-NAME-CLASH": "generated or declared name collides with an existing one",
-    "E-FORD-TARGET": "datatype cannot be forded",
-    "E-FORD-NO-INDICES": "ford target has no indices",
-    "E-MERGE-BLOCK": "merge block violates the plain-datatype restriction",
-    "E-IO": "file could not be read or written",
-    "E-INTERNAL": "fordc failed on a defect of its own, not on the input",
-}
 
 
 @node

@@ -83,7 +83,7 @@ class Checker:
     def conv(self, a: Term, b: Term) -> bool:
         return self.nrm.convertible(a, b)
 
-    def _mismatch(self, expected: Term, actual: Term, what: str = "term"):
+    def _mismatch(self, expected: Term, actual: Term, what: str):
         e, a = print_term(self.nf(expected)), print_term(self.nf(actual))
         return TypeCheckError(f"{what}: expected {e}, got {a}",
                               evidence={"expected": e, "actual": a})
@@ -481,21 +481,20 @@ class Checker:
         fresh = all(a == "_" for a in acc)
         for c in split_ctors(self.sig, tyn):
             head = c and c.name
+            took = heads.get(head, [])
+            if fresh and any(_vars_or_refl((*getattr(rows[i][0], "args", ()),
+                                            *rows[i][1:])) for i in took):
+                # only variable columns lead here: that row's clause took
+                # this case at this type, up to renaming, and it covers it;
+                # a refl in it is the one case of its identity type, which
+                # that clause's elaboration unified at this instance too (a
+                # variable row's refl was unified at the general type only)
+                continue
             # a refl pattern has no sub-patterns, a variable one per slot
             fill = [PatVar("_")] * (len(c.patvars) + len(c.args) if c else 0)
-            took = heads.get(head, [])
             idx = sorted(took + wild)
             rows2 = [list(getattr(rows[i][0], "args", fill)) + rows[i][1:]
                      for i in idx]
-            if fresh and any((_vars_or_refl if i in took else _all_vars)(r)
-                             for i, r in zip(idx, rows2)):
-                # only variable columns lead here: that row's clause took
-                # this case at this type, up to renaming, and it covers it;
-                # a refl in a row that took this case is the one case of
-                # its identity type, which that clause's elaboration unified
-                # at this instance too (a variable row's refl was unified
-                # at the general type only)
-                continue
             _, slots, value, res, _ = open_case(self.sig, self.nrm, tyn, c,
                                                 taken)
             if isinstance(res, UnifyMismatch):

@@ -24,8 +24,8 @@ constructor clashes with the value's is skipped, even when an earlier
 column is neutral. The first clause with no clashing column fires when all
 its columns match, and the call is stuck when that clause has a neutral
 column. Path constructors never compute. Clauses are read through a
-table per function (`_table`), kept in the signature's `tables` until its
-entry is no longer the `FunDecl` the table was built from.
+table per function (`_table`), kept in the signature's `tables` until
+`Signature.add_fun` replaces the function.
 
 The step budget counts β-reductions, `J` on `refl` and clause firings. It
 applies afresh to each `normalize` call and to each side of a
@@ -138,13 +138,13 @@ def _row(sig: Signature, pats: tuple[Pattern, ...]) -> tuple:
 
 
 def _table(sig: Signature, f: FunDecl) -> tuple:
-    """`(f, rows, datatype, dispatch)`: each clause's `(row, rhs)` and, by
+    """`(rows, datatype, dispatch)`: each clause's `(row, rhs)` and, by
     each point constructor of the first column's datatype, the rows whose
     first pattern is that constructor or no constructor."""
     rows = tuple((_row(sig, c.pats), c.rhs) for c in f.clauses)
     firsts = [c.pats[0] for c in f.clauses] if f.binders else []
     data = next((p.data for p in firsts if p.__class__ is PatCtor), None)
-    return f, rows, data, {
+    return rows, data, {
         c.name: tuple(r for r, p in zip(rows, firsts)
                       if p.__class__ is not PatCtor or p.name == c.name)
         for c in (sig.datas[data].point_ctors() if data else ())}
@@ -329,9 +329,9 @@ class Normalizer:
         if info is None or len(args) < len(info.binders):
             return None
         table = sig.tables.get(name)
-        if table is None or table[0] is not info:
+        if table is None:
             table = sig.tables[name] = _table(sig, info)
-        _, rows, data, dispatch = table
+        rows, data, dispatch = table
         if dispatch:  # the rows a constructor heading the first argument takes
             head = args[0].head if args[0].__class__ is VRigid else None
             if head.__class__ is CtorRef and head.data == data:

@@ -25,14 +25,6 @@ from .terms import (App, AxiomRef, CtorRef, DataRef, FunRef, IdType, JElim,
 LOW, APP, ATOM = 0, 1, 2
 
 
-def ambiguous_ctors(m: SourceModule) -> frozenset[str]:
-    seen: dict[str, int] = {}
-    for d in m.data_decls():
-        for c in d.ctors:
-            seen[c.name] = seen.get(c.name, 0) + 1
-    return frozenset(n for n, k in seen.items() if k > 1)
-
-
 def _bound_names(d: Declaration) -> set[str]:
     """The names that a telescope of `d` binds. `print_term` scopes a `Pi`
     or a `\\` binder itself, and a pattern variable named like a
@@ -206,11 +198,14 @@ def print_module(m: SourceModule, start: int = 0) -> str:
     From `start` on, the text of `m.decls[start:]` alone, which is the tail
     of the whole text from line `decl_line(m, start)`: which constructors
     to qualify is still decided from all of `m`."""
-    ambiguous = ambiguous_ctors(m)
-    ctors = {c.name for d in m.data_decls() for c in d.ctors}
+    ctors: dict[str, int] = {}  # how many datatypes declare each name
+    for d in m.data_decls():
+        for c in d.ctors:
+            ctors[c.name] = ctors.get(c.name, 0) + 1
+    ambiguous = frozenset(n for n, k in ctors.items() if k > 1)
     blocks = []
     for d in m.decls[start:]:
-        captured = ctors.intersection(_bound_names(d))
+        captured = ctors.keys() & _bound_names(d)
         qual = ambiguous | captured if captured else ambiguous
         if isinstance(d, DataDecl):
             blocks.append(_print_data(d, qual))

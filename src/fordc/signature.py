@@ -52,8 +52,8 @@ class DataInfo:
 class Signature:
     """Grows only through the `add_*` methods, which keep `names` (every
     declaration and constructor name) exact. `tables` holds the
-    normalizer's clause tables by function name; a copy or a rewind starts
-    with none."""
+    normalizer's clause tables by function name; `add_fun` drops the entry
+    of the function it replaces, and a copy or a rewind starts with none."""
 
     datas: dict[str, DataInfo]
     funs: dict[str, FunDecl]             # checked, a single body as a clause
@@ -84,6 +84,7 @@ class Signature:
 
     def add_fun(self, f: FunDecl):
         self.funs[f.name] = f
+        self.tables.pop(f.name, None)  # built from the replaced clauses
         self.names.add(f.name)
 
     def add_axiom(self, decl: AxiomDecl):

@@ -196,12 +196,18 @@ def subst_term(t: Term, sub: dict[str, Term]) -> Term:
         for k in kids:
             out.append(subst_term(k, sub))
         return t if all(map(is_, out, kids)) else cls(*out)
-    # down the chain, renaming each binder first if it captures
+    # down the chain, renaming each binder first if it captures; the map
+    # only loses keys down the chain, so a binder that no substituted term
+    # mentions cannot capture and needs no look at the rest of the chain
+    brought = set().union(*map(free_vars, sub.values()))
     chain = []
     while (cls is Pi or cls is Lam) and sub:
         domain = subst_term(t.domain, sub) if cls is Pi else None
-        x2, body, sub = _under_binder(
-            t.binder, t.codomain if cls is Pi else t.body, sub)
+        x2, body = t.binder, t.codomain if cls is Pi else t.body
+        if x2 in brought:
+            x2, body, sub = _under_binder(x2, body, sub)
+        elif x2 in sub:
+            sub = {k: v for k, v in sub.items() if k != x2}
         chain.append((t, x2, domain))
         t = body
         cls = t.__class__

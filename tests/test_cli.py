@@ -982,6 +982,41 @@ def test_applying_a_1200_binder_telescope_is_a_type_error(tmp_path, capsys):
     assert err.endswith("Id Nat y599 y599 -> Id Nat zero zero\n")
 
 
+def test_applying_a_telescope_walks_free_variables_in_linear_time(
+        tmp_path, capsys, monkeypatch):
+    # the file above at 600 and 1,200 pairs: no substituted term mentions a
+    # binder of the chain, so no binder needs a walk of the rest of it
+    from fordc import terms
+    walks = {}
+
+    def counted(t, real=terms.free_vars):
+        walks[n] += 1
+        return real(t)
+
+    monkeypatch.setattr(terms, "free_vars", counted)
+    for n in (600, 1200):
+        binders = " ".join(f"(y{i} : Nat) (p{i} : Id Nat y{i} y{i})"
+                           for i in range(n))
+        mod = tmp_path / f"tele{n}.fda"
+        mod.write_text("data Nat\n  | zero\n  | suc (n : Nat)\n\n"
+                       f"def f {binders} : Id Nat y0 y0 => refl\n\n"
+                       "def g : Nat => f zero refl\n")
+        walks[n] = 0
+        code, _, err = run(capsys, "check", str(mod))
+        assert code == 1 and err.startswith(f"error[E-TYPE] {mod}:7:1: ")
+    assert walks[1200] <= 2.5 * walks[600]
+
+
+def test_readme_lists_exactly_the_codes_fordc_raises():
+    root = CORPUS.parent
+    raised = set(re.findall(r'"(E-[A-Z-]+)"', "".join(
+        p.read_text() for p in (root / "src" / "fordc").glob("*.py"))))
+    table = (root / "README.md").read_text().split(
+        "### Diagnostic codes\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| (E-[A-Z-]+) \| \S", table, re.M)
+    assert sorted(listed) == sorted(raised)
+
+
 def test_out_naming_a_directory_is_an_io_error(tmp_path, capsys):
     dest = tmp_path / "dir"
     dest.mkdir()

@@ -1408,3 +1408,12 @@ def f (n : Nat) : Nat
 def t : Id Nat (f (suc zero)) zero => refl
 """))
     assert normalize(sig, pt(sig, "f (suc (suc zero))")) == pt(sig, "zero")
+
+
+def test_a_function_replaced_through_add_fun_evaluates_by_its_new_clauses():
+    sig, other = (
+        check_module(parse(NAT + f"\ndef f (n : Nat) : Nat\n  | {c}\n"))
+        for c in ("zero => zero\n  | (suc k) => k", "n => suc n"))
+    assert normalize(sig, pt(sig, "f (suc zero)")) == pt(sig, "zero")
+    sig.add_fun(other.funs["f"])
+    assert normalize(sig, pt(sig, "f (suc zero)")) == pt(sig, "suc (suc zero)")

@@ -31,6 +31,12 @@ def test_subst_term_avoids_capture():
             == Pi("y1", A, App(y, Var("y1"))))
 
 
+def test_subst_term_keeps_a_binder_whose_capturing_term_is_not_substituted():
+    # `x` is brought by the value of `a`, which the body does not mention
+    assert (subst_term(Pi("x", DataRef("Nat"), y), {"a": x, "y": z})
+            == Pi("x", DataRef("Nat"), z))
+
+
 def test_subst_term_substitutes_pi_domain_outside_binder():
     assert subst_term(Pi("x", x, x), {"x": z}) == Pi("x", z, x)
     assert (subst_term(JElim(x, Lam("x", x), x), {"x": z})
