@@ -8,9 +8,9 @@ rule. A row's constructor pattern fills the constructor's declared slots
 by one simultaneous substitution. A clause's constructor (or refl) pattern
 is one case of a split, opened by `open_case`: its unification can rewrite
 earlier pattern variables, and a stuck one is E-UNIFY-STUCK rather than
-guessed at. An inaccessible pattern must be forced. Coverage specialises
-the clauses once per split of `split_ctors` and opens only the cases no
-clause has already taken.
+guessed at. An inaccessible pattern must be forced. Coverage splits the
+clause rows per `split_ctors` and skips a case that an exact row (led
+there by its own patterns) takes with only variables and refl below.
 """
 
 from __future__ import annotations
@@ -446,7 +446,9 @@ class Checker:
 
     def _check_coverage(self, f: FunDecl):
         cols = [(b.name, b.type) for b in f.binders]
-        rows = [list(c.pats) for c in self.sig.funs[f.name].clauses]
+        # a row is (exact, patterns): exact while only its own constructor
+        # and refl patterns, and columns no row splits, led it to the split
+        rows = [(True, list(c.pats)) for c in self.sig.funs[f.name].clauses]
         self._cover(f.name, cols, rows, [], set())
 
     def _cover(self, fname: str, cols, rows, acc, gen: set[str]):
@@ -456,45 +458,40 @@ class Checker:
             shape = " ".join(acc + ["_"] * len(cols)) or "<empty row>"
             raise CoverageError(
                 f"def {fname}: missing canonical case: {shape}")
-        if any(map(_all_vars, rows)):
+        if any(_all_vars(r) for _, r in rows):
             return  # a row of variables covers every case below
         (x, ty) = cols[0]
-        # one pass: the rows' indices by head constructor (None for refl),
-        # and the variable rows' indices
-        heads: dict[str | None, list[int]] = {}
+        # one pass: the rows by head constructor (None for refl), with their
+        # sub-patterns in front, and the variable rows' later columns
+        heads: dict[str | None, list] = {}
         wild = []
-        for i, r in enumerate(rows):
+        for exact, r in rows:
             if isinstance(r[0], (PatVar, PatInacc)):
-                wild.append(i)
+                wild.append(r[1:])
             else:
-                heads.setdefault(getattr(r[0], "name", None), []).append(i)
+                heads.setdefault(getattr(r[0], "name", None), []).append(
+                    (exact, [*getattr(r[0], "args", ()), *r[1:]]))
         if not heads:
             # the consumed column stands for an arbitrary value: keep its
             # variable flexible while splitting later columns
-            self._cover(fname, cols[1:], [r[1:] for r in rows], acc + ["_"],
-                        gen | {x})
+            self._cover(fname, cols[1:], [(e, r[1:]) for e, r in rows],
+                        acc + ["_"], gen | {x})
             return
         tyn = self.nf(ty)
-        # some row has a constructor or refl pattern here, which clause
-        # elaboration took at this type or a more general one
         taken = {n for n, _ in cols} | gen
-        fresh = all(a == "_" for a in acc)
         for c in split_ctors(self.sig, tyn):
             head = c and c.name
             took = heads.get(head, [])
-            if fresh and any(_vars_or_refl((*getattr(rows[i][0], "args", ()),
-                                            *rows[i][1:])) for i in took):
-                # only variable columns lead here: that row's clause took
-                # this case at this type, up to renaming, and it covers it;
-                # a refl in it is the one case of its identity type, which
-                # that clause's elaboration unified at this instance too (a
-                # variable row's refl was unified at the general type only)
+            if any(exact and _vars_or_refl(r) for exact, r in took):
+                # that row's clause opened this case, and every case on the
+                # way here, in this order and at these types up to renaming,
+                # then unified each of its refl patterns, the one case of
+                # its identity type, at this instance too
                 continue
-            # a refl pattern has no sub-patterns, a variable one per slot
+            # a refl pattern has no sub-patterns, a variable one per slot; a
+            # filled row's refls were unified at a more general type
             fill = [PatVar("_")] * (len(c.patvars) + len(c.args) if c else 0)
-            idx = sorted(took + wild)
-            rows2 = [list(getattr(rows[i][0], "args", fill)) + rows[i][1:]
-                     for i in idx]
+            rows2 = took + [(False, fill + r) for r in wild]
             _, slots, value, res, _ = open_case(self.sig, self.nrm, tyn, c,
                                                 taken)
             if isinstance(res, UnifyMismatch):

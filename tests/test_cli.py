@@ -43,6 +43,18 @@ def test_check_type_error_exit_1(capsys):
     assert code == 1 and "E-UNIFY-STUCK" in err
 
 
+def test_a_negative_occurrence_is_e_positivity(capsys):
+    path = cp("soundness/negative.fda")
+    message = "Bad.mk: Bad occurs in a negative position"
+    assert run(capsys, "check", path) == (
+        1, "", f"error[E-POSITIVITY] {path}:2:3: {message}\n")
+    code, out, err = run(capsys, "check", path, "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"severity": "error", "code": "E-POSITIVITY",
+                               "message": message, "file": path, "line": 2,
+                               "col": 3}
+
+
 def test_check_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.fda"
     bad.write_text("data |")

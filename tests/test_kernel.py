@@ -870,16 +870,58 @@ def test_a_missing_clause_with_refl_inside_keeps_its_text(j):
         f"def fromGF: missing canonical case: _ g{j} {slots}")
 
 
-def test_a_nested_refl_behind_a_constructor_split_opens_its_case(
+def test_a_nested_refl_behind_a_constructor_split_is_covered_unopened(
         monkeypatch):
-    # `zero` inside `suc` splits `n` first, so the `refl` column is
-    # reached through a constructor split, not through variables alone
+    # `suc` is opened to split its slot; the clause's own `zero` and `refl`
+    # lead to the nested cases, which its elaboration opened in this order
+    # at these types, so coverage opens only the `zero` and `suc` cases that
+    # no clause takes
     src = NAT + """
 def f (n : Nat) (p : Id Nat n (suc zero)) : Nat
   | (suc zero) refl => zero
 """
     assert [c for caller, c in opened_cases(monkeypatch, src)
-            if caller == "_cover"] == ["zero", "suc", "zero", None, "suc"]
+            if caller == "_cover"] == ["zero", "suc", "suc"]
+
+
+HALF_EVEN_AND = NAT_BOOL + """
+def half (n : Nat) : Nat
+  | zero => zero
+  | (suc zero) => zero
+  | (suc (suc k)) => suc (half k)
+
+def even (n : Nat) : Bool
+  | zero => true
+  | (suc zero) => false
+  | (suc (suc k)) => even k
+
+def and (a : Bool) (b : Bool) : Bool
+  | true true => true
+  | true false => false
+  | false b => false
+"""
+
+
+def test_coverage_reuses_the_cases_of_nested_and_later_patterns(
+        monkeypatch):
+    # coverage opens `suc` in `half` and `even`, and `true` in `and`, to
+    # split below them; every other case is a clause's own, reached through
+    # that clause's patterns alone
+    callers = [c for c, _ in opened_cases(monkeypatch, HALF_EVEN_AND)]
+    assert (callers.count("_cover"), callers.count("_elab_ctor")) == (3, 15)
+
+
+def test_a_refl_after_a_filled_column_opens_its_case(monkeypatch):
+    # the second row has a variable where the first splits `n`, so in the
+    # case `suc` its `refl` was unified at a more general type: coverage
+    # opens that `refl` case (and the `zero` above it) again
+    src = NAT + """
+def f (n : Nat) (m : Nat) (p : Id Nat m zero) : Nat
+  | zero m q => zero
+  | n zero refl => zero
+"""
+    assert [c for caller, c in opened_cases(monkeypatch, src)
+            if caller == "_cover"] == ["suc", "zero", None, "suc"]
 
 
 def test_a_stuck_nested_refl_is_the_clause_unification_error():
